@@ -57,13 +57,13 @@ from .scenario import (
     dp_upper_expectation,
     simulate_path,
     slln_experiment,
+    strong_regularity_audit,
     time_average,
 )
 from .wrapped import (
     WrappedKernelSpec,
     linear_semigroup,
     regularity_bound,
-    strong_regularity_audit,
     wrapped_gauss,
 )
 

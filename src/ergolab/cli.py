@@ -173,7 +173,7 @@ def cmd_lab_audit(args) -> int:
         k = int(rng.integers(1, 9))
         max_min = min(max_min, finite.maximal_ergodic_check(sys_, xi, k))
     maximal_ok = max_min >= -1e-12
-    ok = thm.ok and fixed.ok and slln_ok and maximal_ok
+    ok = thm.consistent and fixed.consistent and slln_ok and maximal_ok
     report = {
         "config": {"spec": args.spec, "seed": args.seed, "defaults": DEFAULTS},
         "system": raw,
@@ -477,21 +477,15 @@ def _build_parser() -> argparse.ArgumentParser:
     g_x.set_defaults(func=cmd_gheat_xcheck)
 
     mc = sub.add_parser("mc-slln", help="Monte Carlo time-average experiment")
-    mc.add_argument("--phi", default="cos")
-    mc.add_argument("--grid", type=int, default=DEFAULTS["grid"])
-    mc.add_argument("--cfl", type=float, default=DEFAULTS["cfl"])
-    mc.add_argument("--sigma-lo2", dest="sigma_lo2", type=float, default=DEFAULTS["sigma_lo2"])
-    mc.add_argument("--sigma-hi2", dest="sigma_hi2", type=float, default=DEFAULTS["sigma_hi2"])
+    add_common(mc, 0.05)
     mc.add_argument("--t", type=float, default=1e4)
     mc.add_argument("--dt", type=float, default=0.01)
     mc.add_argument("--seeds", default=None)
     mc.add_argument("--policies", default=None)
-    mc.add_argument("--tol", type=float, default=0.05)
     mc.add_argument("--capacity-arc", dest="capacity_arc", default="0,0.1",
                     help="arc a,b for the visit-event capacity estimate; empty to skip")
     mc.add_argument("--dump-paths", dest="dump_paths", default=None,
                     help="directory for per-(policy, seed) path CSVs (t,x)")
-    mc.add_argument("--out", default=None)
     mc.set_defaults(func=cmd_mc_slln)
 
     return parser

@@ -67,16 +67,6 @@ class FiniteMap:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.image, dtype=np.intp)
 
-    def iterate(self, k: int) -> "FiniteMap":
-        """The k-fold composition, computed by exact integer table lookups."""
-        if k < 0:
-            raise InputError("iteration count must be >= 0")
-        cur = np.arange(self.n, dtype=np.intp)
-        img = self.as_array()
-        for _ in range(k):
-            cur = img[cur]
-        return FiniteMap(tuple(int(i) for i in cur))
-
 
 @dataclass(frozen=True)
 class FiniteSystem:
@@ -194,10 +184,6 @@ def hull_distance(points: np.ndarray, q: np.ndarray) -> float:
     return float(res.fun)
 
 
-def in_hull(points: np.ndarray, q: np.ndarray, tol: float = HULL_TOL) -> bool:
-    return hull_distance(points, q) <= tol
-
-
 @lru_cache(maxsize=None)
 def is_expectation_preserving(sys: FiniteSystem) -> bool:
     """Whether E[X o theta] = E[X] for every payoff X, decided exactly.
@@ -215,10 +201,10 @@ def is_expectation_preserving(sys: FiniteSystem) -> bool:
     orig_mat = sys.priors.matrix()
     fwd_mat = fwd.matrix()
     for row in fwd_rows:
-        if not in_hull(orig_mat, np.asarray(row)):
+        if hull_distance(orig_mat, np.asarray(row)) > HULL_TOL:
             return False
     for row in orig_rows:
-        if not in_hull(fwd_mat, np.asarray(row)):
+        if hull_distance(fwd_mat, np.asarray(row)) > HULL_TOL:
             return False
     return True
 
@@ -293,10 +279,6 @@ class FixedSpaceReport:
     @property
     def consistent(self) -> bool:
         return self.simple == self.ergodic
-
-    @property
-    def ok(self) -> bool:
-        return self.consistent
 
 
 def _constant_quasi_surely(sys: FiniteSystem, values: np.ndarray) -> bool:
@@ -473,10 +455,6 @@ class IndecomposabilityReport:
     @property
     def consistent(self) -> bool:
         return len(set(self.statements)) == 1
-
-    @property
-    def ok(self) -> bool:
-        return self.consistent
 
 
 def _capacity_table(sys: FiniteSystem) -> np.ndarray:

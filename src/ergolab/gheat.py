@@ -65,10 +65,6 @@ class GridFn:
     def __repr__(self):
         return f"GridFn(m={self.grid.m}, range=[{self._values.min():.3g}, {self._values.max():.3g}])"
 
-    @staticmethod
-    def from_callable(grid: CircleGrid, f) -> "GridFn":
-        return GridFn(grid, f(grid.nodes()))
-
 
 def cos_fn(grid: CircleGrid) -> GridFn:
     return GridFn(grid, np.cos(grid.nodes()))

@@ -10,7 +10,8 @@ in [sigma_lo, sigma_hi].  This module provides the two sides of that picture:
   the endpoint volatilities per step (the per-step objective is linear in the
   squared volatility through the step variance, so endpoints suffice in the
   small-step limit), and uses exact wrapped-Gaussian one-step transitions so
-  the oracle carries no finite-difference bias.
+  the oracle carries no finite-difference bias.  The strong-regularity audit
+  of shrinking indicators runs on this oracle.
 
 State-dependent policies genuinely matter here: a policy with squared
 volatility s(x) has stationary density proportional to 1/s(x), so feedback
@@ -21,13 +22,13 @@ converge to policy-dependent limits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .credal import InputError
-from .gheat import CircleGrid, GHeatParams, GridFn
-from .wrapped import kernel_matrix
+from .gheat import CircleGrid, GHeatParams, GridFn, indicator_fn
+from .wrapped import WrappedKernelSpec, kernel_row, regularity_bound, wrapped_gauss
 
 TWO_PI = 2.0 * math.pi
 
@@ -288,21 +289,31 @@ def slln_experiment(
 
 @dataclass(frozen=True, eq=False)
 class DPLattice:
-    """Backward-recursion lattice: two exact one-step wrapped-Gaussian kernels."""
+    """Backward-recursion lattice: two exact one-step wrapped-Gaussian kernels.
+
+    Each kernel is circulant, so it is held as its first column (``row_lo``,
+    ``row_hi``) and applied through that column's real FFT spectrum.
+    """
 
     grid: CircleGrid
     n_steps: int
-    step_lo: np.ndarray
-    step_hi: np.ndarray
+    row_lo: np.ndarray
+    row_hi: np.ndarray
+    spectrum_lo: np.ndarray = field(init=False, repr=False)
+    spectrum_hi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for mat in (self.step_lo, self.step_hi):
-            err = float(np.max(np.abs(mat.sum(axis=1) - 1.0)))
+        # every row of a circulant is a permutation of its first column, so
+        # the first column's sum is the sum of every row
+        for row in (self.row_lo, self.row_hi):
+            err = abs(float(np.sum(row)) - 1.0)
             if err > 1e-12:
                 raise InputError(
                     f"one-step kernel rows sum to 1 only within {err:.2e}; "
                     "increase the step count or refine the grid"
                 )
+        object.__setattr__(self, "spectrum_lo", np.fft.rfft(self.row_lo))
+        object.__setattr__(self, "spectrum_hi", np.fft.rfft(self.row_hi))
 
 
 def build_lattice(grid: CircleGrid, p: GHeatParams, t: float, n_steps: int) -> DPLattice:
@@ -311,8 +322,8 @@ def build_lattice(grid: CircleGrid, p: GHeatParams, t: float, n_steps: int) -> D
     if t <= 0:
         raise InputError("t must be > 0")
     tau = t / n_steps
-    lo = kernel_matrix(grid.m, p.sigma_lo2, tau)
-    hi = kernel_matrix(grid.m, p.sigma_hi2, tau)
+    lo = kernel_row(grid.m, p.sigma_lo2, tau)
+    hi = kernel_row(grid.m, p.sigma_hi2, tau)
     return DPLattice(grid, n_steps, lo, hi)
 
 
@@ -322,13 +333,87 @@ def dp_upper_expectation(phi: GridFn, t: float, p: GHeatParams, n_steps: int) ->
     The per-step maximum over the two endpoint volatilities realizes the
     supremum over step-constant controls; the recursion is an independent
     approximation of the nonlinear semigroup that shares nothing with the
-    finite-difference scheme.
+    finite-difference scheme.  Each step is one forward and two inverse FFTs.
     """
     lat = build_lattice(phi.grid, p, t, n_steps)
+    m = phi.grid.m
     u = phi.values
     for _ in range(lat.n_steps):
-        u = np.maximum(lat.step_lo @ u, lat.step_hi @ u)
+        f = np.fft.rfft(u)
+        u = np.maximum(np.fft.irfft(f * lat.spectrum_lo, n=m), np.fft.irfft(f * lat.spectrum_hi, n=m))
     return GridFn(phi.grid, u)
+
+
+@dataclass(frozen=True)
+class RegularityAuditRow:
+    leb: float
+    sup_value: float
+    closed_form_bound: float
+    proxy_bound: float
+
+
+@dataclass(frozen=True)
+class RegularityAuditReport:
+    """Vanishing of sup_x T_t 1_{A_n} along a shrinking interval family."""
+
+    t: float
+    rows: tuple[RegularityAuditRow, ...]
+    non_increasing: bool
+    within_bounds: bool
+    final_below_proxy: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.non_increasing and self.within_bounds and self.final_below_proxy
+
+
+def strong_regularity_audit(
+    p: GHeatParams,
+    t: float,
+    intervals: list[tuple[float, float]],
+    grid: CircleGrid | None = None,
+    steps: int = 64,
+) -> RegularityAuditReport:
+    """Evaluate sup_x of the nonlinear flow of shrinking indicators.
+
+    The flow values come from the dynamic-programming oracle (the independent
+    route, not the finite-difference scheme).  Checks that the sequence is
+    non-increasing, that every value stays below min(1, closed-form bound),
+    and that the final value falls below the practical proxy
+    10 * leb * sup of the low-volatility kernel.
+    """
+    if grid is None:
+        grid = CircleGrid(256)
+    if t <= 0:
+        raise InputError("t must be > 0")
+    for (a0, b0), (a1, b1) in zip(intervals, intervals[1:]):
+        if a1 < a0 - 1e-12 or b1 > b0 + 1e-12:
+            raise InputError("intervals must be nested decreasing")
+    c_dominant = float(wrapped_gauss(WrappedKernelSpec(p.sigma_lo2, t), 0.0, 0.0))
+    rows = []
+    for a, b in intervals:
+        ind = indicator_fn(grid, a, b)
+        leb = float(np.sum(ind.values)) * grid.h
+        val = float(np.max(dp_upper_expectation(ind, t, p, steps).values))
+        rows.append(
+            RegularityAuditRow(
+                leb=leb,
+                sup_value=val,
+                closed_form_bound=regularity_bound(t, p.sigma_lo2, leb),
+                proxy_bound=10.0 * leb * c_dominant,
+            )
+        )
+    vals = [r.sup_value for r in rows]
+    non_inc = all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
+    within = all(r.sup_value <= min(1.0, r.closed_form_bound) + 1e-9 for r in rows)
+    final_ok = rows[-1].sup_value <= rows[-1].proxy_bound if rows else True
+    return RegularityAuditReport(
+        t=t,
+        rows=tuple(rows),
+        non_increasing=non_inc,
+        within_bounds=within,
+        final_below_proxy=final_ok,
+    )
 
 
 def capacity_estimate(

@@ -6,6 +6,12 @@ the trapezoid rule is spectrally accurate for smooth periodic integrands.
 These linear semigroups are the reference targets the nonlinear solver is
 cross-checked against, and single steps of them are the transition operators
 of the dynamic-programming oracle.
+
+The density depends on x - y only, so the trapezoid operator
+K[i, j] = h * p(t, x_i, x_j) is circulant: K[i, j] = c[(i - j) mod M] with
+c_k = h * p(t, x_k, 0).  Only that one row is computed and cached, and K is
+applied as the circular convolution irfft(rfft(c) * rfft(u)), which costs
+O(M log M) time and O(M) memory.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .credal import InputError
-from .gheat import CircleGrid, GHeatParams, GridFn, indicator_fn
+from .gheat import CircleGrid, GridFn
 
 #: default kernel-image truncation tolerance
 TAIL_TOL = 1e-15
@@ -77,20 +83,33 @@ def wrapped_gauss(spec: WrappedKernelSpec, x, y):
 
 
 @lru_cache(maxsize=64)
-def kernel_matrix(m: int, sigma2: float, t: float, tail_tol: float = TAIL_TOL) -> np.ndarray:
-    """Trapezoid transition operator K[i, j] = h * p(t, x_i, x_j); cached, read-only."""
+def kernel_row(m: int, sigma2: float, t: float, tail_tol: float = TAIL_TOL) -> np.ndarray:
+    """c_k = h * p(t, x_k, 0): the first row and column of the trapezoid operator; cached, read-only.
+
+    p depends on x - y only and is even in it, so K[i, j] = c[(i - j) mod m].
+    """
     grid = CircleGrid(m)
     spec = WrappedKernelSpec(sigma2, t, tail_tol)
-    x = grid.nodes()
-    mat = grid.h * wrapped_gauss(spec, x[:, None], x[None, :])
-    mat.flags.writeable = False
-    return mat
+    row = grid.h * wrapped_gauss(spec, grid.nodes(), 0.0)
+    row.flags.writeable = False
+    return row
+
+
+def kernel_matrix(m: int, sigma2: float, t: float, tail_tol: float = TAIL_TOL) -> np.ndarray:
+    """Dense trapezoid operator K[i, j] = c[(i - j) mod m], built on every call.
+
+    Library code never builds it: the operator is applied by FFT from
+    ``kernel_row``.  It exists to inspect the operator as a matrix.
+    """
+    idx = np.arange(m)
+    return kernel_row(m, sigma2, t, tail_tol)[(idx[:, None] - idx[None, :]) % m]
 
 
 def linear_semigroup(phi: GridFn, spec: WrappedKernelSpec) -> GridFn:
     """Quadrature convolution of phi with the wrapped kernel."""
-    mat = kernel_matrix(phi.grid.m, spec.sigma2, spec.t, spec.tail_tol)
-    return GridFn(phi.grid, mat @ phi.values)
+    m = phi.grid.m
+    row = kernel_row(m, spec.sigma2, spec.t, spec.tail_tol)
+    return GridFn(phi.grid, np.fft.irfft(np.fft.rfft(row) * np.fft.rfft(phi.values), n=m))
 
 
 def regularity_bound(t: float, sigma_lo2: float, leb: float) -> float:
@@ -116,77 +135,3 @@ def regularity_bound(t: float, sigma_lo2: float, leb: float) -> float:
     except OverflowError:
         return math.inf
     return leb / math.sqrt(TWO_PI * vt) * grow / (1.0 - math.exp(-(math.pi**2) / vt))
-
-
-@dataclass(frozen=True)
-class RegularityAuditRow:
-    leb: float
-    sup_value: float
-    closed_form_bound: float
-    proxy_bound: float
-
-
-@dataclass(frozen=True)
-class RegularityAuditReport:
-    """Vanishing of sup_x T_t 1_{A_n} along a shrinking interval family."""
-
-    t: float
-    rows: tuple[RegularityAuditRow, ...]
-    non_increasing: bool
-    within_bounds: bool
-    final_below_proxy: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.non_increasing and self.within_bounds and self.final_below_proxy
-
-
-def strong_regularity_audit(
-    p: GHeatParams,
-    t: float,
-    intervals: list[tuple[float, float]],
-    grid: CircleGrid | None = None,
-    steps: int = 64,
-) -> RegularityAuditReport:
-    """Evaluate sup_x of the nonlinear flow of shrinking indicators.
-
-    The flow values come from the dynamic-programming oracle (the independent
-    route, not the finite-difference scheme).  Checks that the sequence is
-    non-increasing, that every value stays below min(1, closed-form bound),
-    and that the final value falls below the practical proxy
-    10 * leb * sup of the low-volatility kernel.
-    """
-    from .scenario import dp_upper_expectation  # local import: avoids a module cycle
-
-    if grid is None:
-        grid = CircleGrid(256)
-    if t <= 0:
-        raise InputError("t must be > 0")
-    for (a0, b0), (a1, b1) in zip(intervals, intervals[1:]):
-        if a1 < a0 - 1e-12 or b1 > b0 + 1e-12:
-            raise InputError("intervals must be nested decreasing")
-    c_dominant = float(wrapped_gauss(WrappedKernelSpec(p.sigma_lo2, t), 0.0, 0.0))
-    rows = []
-    for a, b in intervals:
-        ind = indicator_fn(grid, a, b)
-        leb = float(np.sum(ind.values)) * grid.h
-        val = float(np.max(dp_upper_expectation(ind, t, p, steps).values))
-        rows.append(
-            RegularityAuditRow(
-                leb=leb,
-                sup_value=val,
-                closed_form_bound=regularity_bound(t, p.sigma_lo2, leb),
-                proxy_bound=10.0 * leb * c_dominant,
-            )
-        )
-    vals = [r.sup_value for r in rows]
-    non_inc = all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
-    within = all(r.sup_value <= min(1.0, r.closed_form_bound) + 1e-9 for r in rows)
-    final_ok = rows[-1].sup_value <= rows[-1].proxy_bound if rows else True
-    return RegularityAuditReport(
-        t=t,
-        rows=tuple(rows),
-        non_increasing=non_inc,
-        within_bounds=within,
-        final_below_proxy=final_ok,
-    )

@@ -69,8 +69,8 @@ from ergolab.gheat import (
     solve,
     steady_state_audit,
 )
-from ergolab.scenario import default_policy_suite, dp_upper_expectation, slln_experiment
-from ergolab.wrapped import WrappedKernelSpec, linear_semigroup, regularity_bound, strong_regularity_audit
+from ergolab.scenario import default_policy_suite, dp_upper_expectation, slln_experiment, strong_regularity_audit
+from ergolab.wrapped import WrappedKernelSpec, linear_semigroup, regularity_bound
 
 GRID = CircleGrid(256)
 BAND = GHeatParams(0.25, 1.0)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ergolab.cli import main
+from ergolab.cli import _build_parser, main
 
 
 def run(args):
@@ -190,6 +190,12 @@ class TestMcSllnCli:
             ["mc-slln", "--phi", "indicator:0,6.2831853071795862", "--t", "10", "--seeds", "11"]
         )
         assert code == 0
+
+    def test_shared_options_keep_their_defaults(self):
+        args = _build_parser().parse_args(["mc-slln"])
+        expect = {"phi": "cos", "grid": 256, "cfl": 0.8, "sigma_lo2": 0.25, "sigma_hi2": 1.0,
+                  "tol": 0.05, "out": None}
+        assert {k: getattr(args, k) for k in expect} == expect
 
     def test_bad_policy_exit_2(self):
         assert run(["mc-slln", "--policies", "oracle", "--t", "1"]) == 2

@@ -1,10 +1,11 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from ergolab.credal import InputError
-from ergolab.gheat import CircleGrid, GHeatParams, cos_fn, constant_fn, quad_fn, random_fn, solve
+from ergolab.gheat import CircleGrid, GHeatParams, cos_fn, constant_fn, indicator_fn, quad_fn, random_fn, solve
 from ergolab.scenario import (
     build_lattice,
     capacity_estimate,
@@ -18,7 +19,7 @@ from ergolab.scenario import (
     threshold_policy,
     time_average,
 )
-from ergolab.wrapped import WrappedKernelSpec, linear_semigroup
+from ergolab.wrapped import WrappedKernelSpec, linear_semigroup, wrapped_gauss
 
 GRID = CircleGrid(256)
 PARAMS = GHeatParams(0.25, 1.0)
@@ -201,6 +202,36 @@ class TestDpOracle:
     def test_step_count_validated(self):
         with pytest.raises(InputError):
             dp_upper_expectation(cos_fn(GRID), 1.0, PARAMS, 0)
+
+
+@lru_cache(maxsize=None)
+def dense_kernel(m: int, sigma2: float, t: float) -> np.ndarray:
+    """Independent reference: K[i, j] = h * p(t, x_i, x_j), pointwise from wrapped_gauss."""
+    grid = CircleGrid(m)
+    x = grid.nodes()
+    return grid.h * wrapped_gauss(WrappedKernelSpec(sigma2, t), x[:, None], x[None, :])
+
+
+class TestDpOracleDifferential:
+    """The FFT recursion against a dense matrix-vector DP loop."""
+
+    @pytest.mark.parametrize("m", [256, 1024])
+    @pytest.mark.parametrize("n", [1, 64])
+    def test_matches_dense_recursion(self, m, n):
+        grid = CircleGrid(m)
+        k_lo = dense_kernel(m, PARAMS.sigma_lo2, 1.0 / n)
+        k_hi = dense_kernel(m, PARAMS.sigma_hi2, 1.0 / n)
+        data = {"cos": cos_fn(grid), "random": random_fn(grid, 5), "indicator": indicator_fn(grid, 0.5, 2.0)}
+        for name, phi in data.items():
+            u = phi.values
+            for _ in range(n):
+                u = np.maximum(k_lo @ u, k_hi @ u)
+            dp = dp_upper_expectation(phi, 1.0, PARAMS, n).values
+            assert np.max(np.abs(dp - u)) <= 1e-12, name
+
+    def test_under_resolved_lattice_message(self):
+        with pytest.raises(InputError, match="rows sum to 1 only within"):
+            dp_upper_expectation(cos_fn(CircleGrid(64)), 1.0, PARAMS, 512)
 
 
 class TestCapacityEstimate:

@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -6,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergolab.credal import InputError
-from ergolab.gheat import CircleGrid, GHeatParams, cos_fn, random_fn, solve
+from ergolab.gheat import CircleGrid, GHeatParams, cos_fn, indicator_fn, random_fn, solve
+from ergolab.scenario import strong_regularity_audit
 from ergolab.wrapped import (
     WrappedKernelSpec,
     kernel_matrix,
+    kernel_row,
     linear_semigroup,
     regularity_bound,
-    strong_regularity_audit,
     wrapped_gauss,
 )
 
@@ -103,6 +105,47 @@ class TestLinearSemigroup:
     def test_kernel_matrix_rows_sum_to_one(self):
         mat = kernel_matrix(256, 0.25, 1.0 / 64)
         assert np.max(np.abs(mat.sum(axis=1) - 1.0)) <= 1e-12
+
+
+@lru_cache(maxsize=None)
+def dense_kernel(m: int, sigma2: float, t: float) -> np.ndarray:
+    """Independent reference: K[i, j] = h * p(t, x_i, x_j), pointwise from wrapped_gauss."""
+    grid = CircleGrid(m)
+    x = grid.nodes()
+    return grid.h * wrapped_gauss(WrappedKernelSpec(sigma2, t), x[:, None], x[None, :])
+
+
+class TestCirculantKernel:
+    """The FFT route against the dense pointwise operator it replaces."""
+
+    @pytest.mark.parametrize("m", [256, 1024])
+    @pytest.mark.parametrize("n", [1, 64])
+    @pytest.mark.parametrize("sigma2", [0.25, 1.0])
+    def test_linear_semigroup_matches_dense_operator(self, m, n, sigma2):
+        # t = 1/n is the one-step kernel of an n-step DP lattice on [0, 1]
+        grid = CircleGrid(m)
+        mat = dense_kernel(m, sigma2, 1.0 / n)
+        data = {"cos": cos_fn(grid), "random": random_fn(grid, 5), "indicator": indicator_fn(grid, 0.5, 2.0)}
+        for name, phi in data.items():
+            u = linear_semigroup(phi, WrappedKernelSpec(sigma2, 1.0 / n)).values
+            assert np.max(np.abs(u - mat @ phi.values)) <= 1e-12, name
+
+    @pytest.mark.parametrize("m", [256, 1024])
+    def test_kernel_matrix_matches_dense_operator(self, m):
+        assert np.max(np.abs(kernel_matrix(m, 0.25, 1.0 / 64) - dense_kernel(m, 0.25, 1.0 / 64))) <= 1e-14
+
+    def test_kernel_row_is_read_only(self):
+        row = kernel_row(256, 0.25, 1.0 / 64)
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+
+    def test_kernel_row_cache_is_bounded(self):
+        maxsize = kernel_row.cache_info().maxsize
+        assert maxsize == 64
+        for k in range(maxsize + 8):
+            kernel_row(8, 0.25 + 0.01 * k, 1.0)
+        assert kernel_row.cache_info().currsize <= maxsize
 
 
 class TestRegularityBound:
