@@ -272,6 +272,8 @@ def cmd_gheat_converge(args) -> int:
     grid = gheat.CircleGrid(args.grid)
     phi = _parse_phi(args.phi, grid)
     times = _parse_floats(args.times)
+    if not times:
+        raise InputError("times must be a nonempty list")
     profile = gheat.convergence_profile(phi, times, _gheat_params(args))
     non_increasing = all(b <= a + 1e-6 for a, b in zip(profile, profile[1:]))
     ok = non_increasing and profile[-1] <= args.tol
@@ -373,10 +375,15 @@ def cmd_mc_slln(args) -> int:
     params = _gheat_params(args)
     policies = _parse_policies(args.policies, params)
     seeds = _parse_seeds(args.seeds)
+    if not seeds:
+        raise InputError("seeds must be a nonempty list")
+    arc = _parse_floats(args.capacity_arc) if args.capacity_arc else None
+    if arc is not None and len(arc) != 2:
+        raise InputError(f"capacity arc must be two numbers a,b; got {args.capacity_arc!r}")
     rep = scenario.slln_experiment(phi, policies, args.t, seeds, dt=args.dt, tol=args.tol)
     capacity_block = None
-    if args.capacity_arc:
-        a, b = _parse_floats(args.capacity_arc)
+    if arc is not None:
+        a, b = arc
         horizon = min(10.0, args.t)
 
         def visits_arc(path):

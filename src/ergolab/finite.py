@@ -1,9 +1,11 @@
 """Finite dynamical systems under an upper expectation, with exact audits.
 
 A system is a self-map theta of {0, ..., n-1} together with a credal set of
-priors.  The map preserves the upper expectation iff the convex hulls of the
-prior family and of its pushforward family coincide (the upper expectation is
-the support function of the hull), which is decidable by linear feasibility.
+priors.  The upper expectation is the support function of the prior hull and
+the pushforward theta_* is linear, so the map preserves the upper expectation
+iff theta_* maps the hull onto itself, that is iff theta_* permutes the
+hull's vertices.  The vertices of a prior set are found once and cached; a
+decision is then a comparison of two small vertex arrays.
 
 On a finite space every orbit is preperiodic, so Birkhoff averages are exact
 cycle means, monotone limits of sets are attained after finitely many steps,
@@ -117,7 +119,14 @@ class OrbitDecomposition:
         return np.asarray([per_cycle[ci] for ci in self.cycle_index])
 
 
-@lru_cache(maxsize=None)
+#: cache size of the per-map decompositions; covers every map with n <= 4
+MAP_CACHE_SIZE = 1024
+
+#: cache size of the per-prior-set vertex arrays
+VERTEX_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=MAP_CACHE_SIZE)
 def orbit_decomposition(theta: FiniteMap) -> OrbitDecomposition:
     n = theta.n
     img = theta.as_array()
@@ -160,8 +169,11 @@ def pushforward(theta: FiniteMap, p: ProbVector) -> ProbVector:
     return ProbVector(tuple(out))
 
 
-def pushforward_set(theta: FiniteMap, priors: PriorSet) -> PriorSet:
-    return PriorSet(tuple(pushforward(theta, p) for p in priors.priors))
+def _push_rows(theta: FiniteMap, rows: np.ndarray) -> np.ndarray:
+    """Pushforward of every row of a prior matrix, by one scatter-add."""
+    out = np.zeros_like(rows)
+    np.add.at(out, (slice(None), theta.as_array()), rows)
+    return out
 
 
 def hull_distance(points: np.ndarray, q: np.ndarray) -> float:
@@ -184,29 +196,55 @@ def hull_distance(points: np.ndarray, q: np.ndarray) -> float:
     return float(res.fun)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=VERTEX_CACHE_SIZE)
+def hull_vertices(priors: PriorSet) -> np.ndarray:
+    """The vertices of the prior hull, as a read-only array of prior rows.
+
+    Exact duplicate rows are dropped.  Each remaining generator is then tested,
+    in order, against the generators still kept and dropped if it lies within
+    HULL_TOL of their hull, so of two near-duplicates one representative
+    stays.  Against a single kept generator the distance is an L-infinity
+    norm; only sets of three or more generators need hull-distance LPs.
+    """
+    rows = priors.matrix()
+    _, first = np.unique(rows, axis=0, return_index=True)
+    rows = rows[np.sort(first)]
+    keep = list(range(len(rows)))
+    for i in range(len(rows)):
+        others = rows[[j for j in keep if j != i]]
+        if len(others) == 0:
+            continue
+        if len(others) == 1:
+            dist = float(np.max(np.abs(others[0] - rows[i])))
+        else:
+            dist = hull_distance(others, rows[i])
+        if dist <= HULL_TOL:
+            keep.remove(i)
+    vertices = rows[keep]
+    vertices.flags.writeable = False
+    return vertices
+
+
 def is_expectation_preserving(sys: FiniteSystem) -> bool:
     """Whether E[X o theta] = E[X] for every payoff X, decided exactly.
 
-    The upper expectation is the support function of the convex hull of the
-    prior family, so preservation is equivalent to hull equality of the prior
-    family and its pushforward family; each inclusion is checked by linear
-    feasibility on the finitely many generators.
+    The upper expectation is the support function of the prior hull, so
+    preservation is hull equality: theta_*(hull) = hull.  The pushforward
+    theta_* is linear, so it maps the hull onto the hull of the pushed
+    vertices; an affine map of a polytope onto itself is a bijection of its
+    affine hull and sends vertices to vertices.  Preservation therefore holds
+    iff theta_* permutes the vertices: every pushed vertex lies within
+    HULL_TOL (L-infinity) of a vertex, and every vertex within HULL_TOL of a
+    pushed vertex.  When the pushed generators equal the generators as a set,
+    the answer is yes without finding the vertices.
     """
-    fwd = pushforward_set(sys.theta, sys.priors)
-    orig_rows = {p.weights for p in sys.priors.priors}
-    fwd_rows = {p.weights for p in fwd.priors}
-    if orig_rows == fwd_rows:
+    rows = sys.priors.matrix()
+    if set(map(tuple, _push_rows(sys.theta, rows).tolist())) == set(map(tuple, rows.tolist())):
         return True
-    orig_mat = sys.priors.matrix()
-    fwd_mat = fwd.matrix()
-    for row in fwd_rows:
-        if hull_distance(orig_mat, np.asarray(row)) > HULL_TOL:
-            return False
-    for row in orig_rows:
-        if hull_distance(fwd_mat, np.asarray(row)) > HULL_TOL:
-            return False
-    return True
+    vertices = hull_vertices(sys.priors)
+    pushed = _push_rows(sys.theta, vertices)
+    close = np.max(np.abs(pushed[:, None, :] - vertices[None, :, :]), axis=2) <= HULL_TOL
+    return bool(close.any(axis=1).all() and close.any(axis=0).all())
 
 
 def _require_preserving(sys: FiniteSystem) -> None:
@@ -214,7 +252,7 @@ def _require_preserving(sys: FiniteSystem) -> None:
         raise ContractError("map does not preserve the upper expectation")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAP_CACHE_SIZE)
 def grand_orbits(theta: FiniteMap) -> GrandOrbitPartition:
     """Connected components of the undirected functional graph {i -- theta(i)}."""
     n = theta.n

@@ -162,6 +162,9 @@ class TestGheatCli:
     def test_bad_deltas_exit_2(self):
         assert run(["gheat", "invariant", "--deltas", "0,-1"]) == 2
 
+    def test_empty_times_exit_2(self):
+        assert run(["gheat", "converge", "--times", ","]) == 2
+
 
 class TestMcSllnCli:
     def test_state_blind_policies_exit_0(self, tmp_path):
@@ -199,6 +202,14 @@ class TestMcSllnCli:
 
     def test_bad_policy_exit_2(self):
         assert run(["mc-slln", "--policies", "oracle", "--t", "1"]) == 2
+
+    def test_empty_seeds_exit_2(self):
+        assert run(["mc-slln", "--seeds", ","]) == 2
+
+    @pytest.mark.parametrize("arc", ["0.5", "1,0.5,2"])
+    def test_bad_capacity_arc_exit_2(self, arc):
+        # rejected before the default 10^4-horizon experiment runs
+        assert run(["mc-slln", "--capacity-arc", arc]) == 2
 
     def test_capacity_block_and_path_dump(self, tmp_path):
         out = tmp_path / "mc.json"

@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergolab import finite
 from ergolab.credal import ContractError, EventSet, InputError, PriorSet, ProbVector, Rv, upper_exp
 from ergolab.finite import (
+    HULL_TOL,
     FiniteMap,
     FiniteSystem,
+    all_maps,
     birkhoff_limit,
     enumerate_preserving_systems,
     fixed_space_audit,
     grand_orbits,
     hull_distance,
+    hull_vertices,
     invariant_prior_set,
     invariant_sets,
     is_ergodic,
@@ -98,6 +102,142 @@ class TestExpectationPreserving:
         seed_prior = ProbVector(tuple(np.asarray(raw) / np.sum(raw)))
         priors = invariant_prior_set(theta, seed_prior)
         assert is_expectation_preserving(FiniteSystem(theta.n, priors, theta))
+
+    def test_hull_vertices_standard_basis_keeps_every_row(self):
+        basis = PriorSet(tuple(ProbVector(tuple(np.eye(3)[i])) for i in range(3)))
+        np.testing.assert_array_equal(hull_vertices(basis), np.eye(3))
+
+    def test_hull_vertices_drops_interior_generator(self):
+        priors = PriorSet(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5, 0.3, 0.2), (0.0, 0.0, 1.0)))
+        np.testing.assert_array_equal(hull_vertices(priors), np.eye(3))
+
+    def test_hull_vertices_collapses_exact_duplicates(self):
+        priors = PriorSet(((0.3, 0.7), (0.3, 0.7), (0.3, 0.7)))
+        np.testing.assert_array_equal(hull_vertices(priors), [[0.3, 0.7]])
+
+    def test_hull_vertices_keeps_one_of_two_near_duplicates(self):
+        priors = PriorSet(((0.3, 0.7), (0.3 + 1e-13, 0.7 - 1e-13)))
+        assert hull_vertices(priors).shape == (1, 2)
+
+    def test_hull_vertices_is_read_only(self):
+        vertices = hull_vertices(PriorSet(((0.3, 0.7), (0.7, 0.3))))
+        assert not vertices.flags.writeable
+        with pytest.raises(ValueError):
+            vertices[0, 0] = 0.0
+
+    def test_hull_vertices_cache_is_bounded(self):
+        maxsize = hull_vertices.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+
+    def test_sweep_finds_vertices_with_seven_lps(self, monkeypatch):
+        # only the n = 3 and n = 4 vertex-set entries have three or more
+        # generators; their 3 + 4 generators are each tested once
+        calls = []
+
+        def counting(points, q):
+            calls.append(len(points))
+            return hull_distance(points, q)
+
+        hull_vertices.cache_clear()
+        monkeypatch.setattr(finite, "hull_distance", counting)
+        for n in (1, 2, 3, 4):
+            catalog = prior_catalog(n)
+            for theta in all_maps(n):
+                for priors in catalog:
+                    is_expectation_preserving(FiniteSystem(n, priors, theta))
+        assert len(calls) == 7
+
+
+def two_sided_lp_reference(sys):
+    """The two-sided LP route the vertex-permutation criterion replaced."""
+
+    def pushforward_set(theta, priors):
+        return PriorSet(tuple(pushforward(theta, p) for p in priors.priors))
+
+    fwd = pushforward_set(sys.theta, sys.priors)
+    orig_rows = {p.weights for p in sys.priors.priors}
+    fwd_rows = {p.weights for p in fwd.priors}
+    if orig_rows == fwd_rows:
+        return True
+    orig_mat = sys.priors.matrix()
+    fwd_mat = fwd.matrix()
+    for row in fwd_rows:
+        if hull_distance(orig_mat, np.asarray(row)) > HULL_TOL:
+            return False
+    for row in orig_rows:
+        if hull_distance(fwd_mat, np.asarray(row)) > HULL_TOL:
+            return False
+    return True
+
+
+def random_pair(rng):
+    """A random prior set and map; half the sets are made theta-invariant.
+
+    An invariant set is the union of the cycle parts of the pushforward orbits
+    of random seeds plus a random convex combination of them.  That interior
+    generator's image is in general not a generator, so the decision cannot
+    take the identical-set shortcut.
+    """
+    n = int(rng.integers(2, 5))
+    theta = FiniteMap(tuple(int(i) for i in rng.integers(0, n, n)))
+    raw = rng.uniform(0.0, 1.0, (int(rng.integers(1, 4)), n)) + 1e-3
+    rows = [tuple(r) for r in raw / raw.sum(axis=1, keepdims=True)]
+    if rng.random() < 0.5:
+        rows = [p.weights for r in rows for p in invariant_prior_set(theta, ProbVector(r)).priors]
+        w = rng.uniform(0.1, 1.0, len(rows))
+        rows.append(tuple(w @ np.asarray(rows) / w.sum()))
+    return FiniteSystem(n, PriorSet(tuple(ProbVector(r) for r in rows)), theta)
+
+
+class TestVertexPermutationDifferential:
+    """The vertex-permutation criterion agrees with the two-sided LP route."""
+
+    def test_full_sweep_n_le_4(self):
+        pairs = 0
+        for n in (1, 2, 3, 4):
+            catalog = prior_catalog(n)
+            for theta in all_maps(n):
+                for priors in catalog:
+                    sys_ = FiniteSystem(n, priors, theta)
+                    assert is_expectation_preserving(sys_) is two_sided_lp_reference(sys_), sys_
+                    pairs += 1
+        assert pairs == 2832
+
+    def test_random_preserving_systems(self):
+        rng = np.random.default_rng(20171)
+        for _ in range(1000):
+            sys_ = random_preserving_system(int(rng.integers(2, 7)), rng)
+            assert is_expectation_preserving(sys_) is two_sided_lp_reference(sys_) is True
+
+    def test_random_prior_sets_and_maps(self):
+        rng = np.random.default_rng(20172)
+        accepts = 0
+        for _ in range(1000):
+            sys_ = random_pair(rng)
+            verdict = is_expectation_preserving(sys_)
+            assert verdict is two_sided_lp_reference(sys_), sys_
+            accepts += verdict
+        assert accepts >= 300
+
+    def test_interior_generator_under_every_map(self):
+        priors = PriorSet(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.3, 0.2)))
+        accepts = 0
+        for theta in all_maps(3):
+            sys_ = FiniteSystem(3, priors, theta)
+            verdict = is_expectation_preserving(sys_)
+            assert verdict is two_sided_lp_reference(sys_), theta
+            accepts += verdict
+        assert accepts == 6  # exactly the permutations
+
+
+class TestMapCaches:
+    @pytest.mark.parametrize("cached", [orbit_decomposition, grand_orbits])
+    def test_cache_is_bounded(self, cached):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 4**4
+        for theta in itertools.islice(all_maps(5), maxsize + 8):
+            cached(theta)
+        assert cached.cache_info().currsize <= maxsize
 
 
 class TestGrandOrbits:
