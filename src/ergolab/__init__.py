@@ -39,7 +39,6 @@ from .gheat import (
     GHeatParams,
     GridFn,
     convergence_profile,
-    convex_concave_split,
     g_operator,
     invariant_expectation,
     mean,

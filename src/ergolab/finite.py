@@ -164,9 +164,7 @@ def pushforward(theta: FiniteMap, p: ProbVector) -> ProbVector:
     """Image measure: mass of j becomes the mass of its theta-preimage."""
     if theta.n != p.n:
         raise InputError("dimension mismatch between map and prior")
-    out = np.zeros(p.n)
-    np.add.at(out, theta.as_array(), p.as_array())
-    return ProbVector(tuple(out))
+    return ProbVector(_push_rows(theta, p.as_array()[None, :])[0])
 
 
 def _push_rows(theta: FiniteMap, rows: np.ndarray) -> np.ndarray:

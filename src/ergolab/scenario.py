@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .credal import InputError
-from .gheat import CircleGrid, GHeatParams, GridFn, indicator_fn
+from .gheat import CircleGrid, GHeatParams, GridFn, indicator_fn, second_diff
 from .wrapped import WrappedKernelSpec, kernel_row, regularity_bound, wrapped_gauss
 
 TWO_PI = 2.0 * math.pi
@@ -208,8 +208,7 @@ def simulate_path(policy: VolPolicy, x0: float, horizon: float, dt: float, seed:
     if policy.kind == "threshold-feedback":
         table = (obs.values > policy.level).tolist()
     else:
-        curv = np.roll(obs.values, -1) - 2.0 * obs.values + np.roll(obs.values, 1)
-        table = (curv > 0.0).tolist()
+        table = (second_diff(obs).values > 0.0).tolist()
     for k, z in enumerate(noise_list):
         s = hi if table[int(x * scale + 0.5) % m] else lo
         x = (x + s * sq * z) % TWO_PI

@@ -60,7 +60,6 @@ from ergolab.gheat import (
     GHeatParams,
     GridFn,
     cos_fn,
-    g_operator,
     indicator_fn,
     invariant_expectation,
     mean,
@@ -302,10 +301,9 @@ def test_criterion_08_ergodic_convergence_profile():
 
 def test_criterion_09_steady_state_flatness():
     rep = steady_state_audit(random_fn(GRID, 42), BAND, horizon=100.0)
-    residual = float(np.max(np.abs(g_operator(solve(random_fn(GRID, 42), 100.0, BAND), BAND).values)))
     detail = (
         f"oscillation {rep.oscillation:.2e} (tol 1e-6), generator norm "
-        f"{rep.generator_norm:.2e} (tol 1e-8), residual recheck {residual:.2e}"
+        f"{rep.generator_norm:.2e} (tol 1e-8)"
     )
     line = report(9, rep.ok, detail)
     assert rep.oscillation <= 1e-6, line

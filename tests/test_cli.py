@@ -206,7 +206,7 @@ class TestMcSllnCli:
     def test_empty_seeds_exit_2(self):
         assert run(["mc-slln", "--seeds", ","]) == 2
 
-    @pytest.mark.parametrize("arc", ["0.5", "1,0.5,2"])
+    @pytest.mark.parametrize("arc", ["0.5", "1,0.5,2", "2,1", "1,1"])
     def test_bad_capacity_arc_exit_2(self, arc):
         # rejected before the default 10^4-horizon experiment runs
         assert run(["mc-slln", "--capacity-arc", arc]) == 2

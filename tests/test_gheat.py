@@ -11,7 +11,6 @@ from ergolab.gheat import (
     GridFn,
     constant_fn,
     convergence_profile,
-    convex_concave_split,
     cos_fn,
     g_operator,
     indicator_fn,
@@ -184,6 +183,93 @@ class TestSolve:
         assert errs[128] < errs[64]
 
 
+# The explicit chain as it stood before solve stepped a bare array: every step
+# ran step_explicit -> g_operator -> second_diff on GridFn objects.
+def chain_second_diff(u):
+    v = u.values
+    d = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / u.grid.h**2
+    return GridFn(u.grid, d)
+
+
+def chain_g_operator(u, p):
+    d = chain_second_diff(u).values
+    out = 0.5 * p.sigma_hi2 * np.maximum(d, 0.0) - 0.5 * p.sigma_lo2 * np.maximum(-d, 0.0)
+    return GridFn(u.grid, out)
+
+
+def chain_step_explicit(u, p, dt):
+    if dt < 0:
+        raise InputError("dt must be >= 0")
+    lam = dt * p.sigma_hi2 / u.grid.h**2
+    if lam > 1.0 + 1e-12:
+        raise ContractError(f"CFL violation: dt*sigma_hi2/h^2 = {lam:.6f} > 1")
+    return GridFn(u.grid, u.values + dt * chain_g_operator(u, p).values)
+
+
+def chain_solve(phi, t, p):
+    if t < 0:
+        raise InputError("t must be >= 0")
+    dt = p.dt(phi.grid)
+    n_full = int(np.floor(t / dt + 1e-9))
+    rem = t - n_full * dt
+    u = phi
+    for _ in range(n_full):
+        u = chain_step_explicit(u, p, dt)
+    if rem > 1e-12:
+        u = chain_step_explicit(u, p, rem)
+    return u
+
+
+def differential_data(g):
+    return {
+        "cos": cos_fn(g),
+        "quad": quad_fn(g),
+        "indicator": indicator_fn(g, 0.0, np.pi),
+        "random": random_fn(g, 3),
+    }
+
+
+class TestArrayStepperDifferential:
+    """The bare-array stepper reproduces the GridFn chain bit for bit."""
+
+    @pytest.mark.parametrize("m", [8, 64, 256])
+    @pytest.mark.parametrize("band", [(0.25, 1.0), (0.7, 0.7)])
+    @pytest.mark.parametrize("cfl", [0.5, 0.8, 0.99])
+    def test_solve_matches_gridfn_chain(self, m, band, cfl):
+        g = CircleGrid(m)
+        p = GHeatParams(*band, cfl=cfl)
+        for name, phi in differential_data(g).items():
+            for t in (0.0, 0.37 * p.dt(g), 0.5, 1.0):
+                got = solve(phi, t, p).values
+                assert np.array_equal(got, chain_solve(phi, t, p).values), (name, t)
+
+    @pytest.mark.parametrize("m", [8, 64, 256])
+    @pytest.mark.parametrize("band", [(0.25, 1.0), (0.7, 0.7)])
+    @pytest.mark.parametrize("cfl", [0.5, 0.8, 0.99])
+    def test_wrappers_match_gridfn_chain(self, m, band, cfl):
+        g = CircleGrid(m)
+        p = GHeatParams(*band, cfl=cfl)
+        for name, u in differential_data(g).items():
+            assert np.array_equal(second_diff(u).values, chain_second_diff(u).values), name
+            assert np.array_equal(g_operator(u, p).values, chain_g_operator(u, p).values), name
+            for dt in (p.dt(g), 0.37 * p.dt(g)):
+                got = step_explicit(u, p, dt).values
+                assert np.array_equal(got, chain_step_explicit(u, p, dt).values), (name, dt)
+
+    def test_solve_builds_one_gridfn(self, monkeypatch):
+        phi = cos_fn(GRID)
+        built = []
+        init = GridFn.__init__
+
+        def counting_init(self, grid, values):
+            built.append(grid.m)
+            init(self, grid, values)
+
+        monkeypatch.setattr(GridFn, "__init__", counting_init)
+        solve(phi, 1.0, PARAMS)
+        assert built == [GRID.m]
+
+
 class TestSemigroup:
     def test_zero_legs_exact(self):
         phi = cos_fn(GRID)
@@ -260,42 +346,6 @@ class TestSteadyState:
         rep = steady_state_audit(random_fn(CircleGrid(128), 42), PARAMS, horizon=100.0)
         assert rep.oscillation <= 1e-6
         assert rep.generator_norm <= 1e-8
-
-
-class TestConvexConcaveSplit:
-    def test_quadratic_already_convex(self):
-        u = quad_fn(GRID)
-        p1, p2 = convex_concave_split(u)
-        assert np.max(np.abs(p1.values - u.values)) <= 1e-10
-        assert np.max(np.abs(p2.values)) <= 1e-10
-
-    def test_linear_goes_to_convex_part(self):
-        u = GridFn(GRID, 0.5 * GRID.nodes() - 1.0)
-        p1, p2 = convex_concave_split(u)
-        assert np.max(np.abs(p1.values - u.values)) <= 1e-10
-        assert np.max(np.abs(p2.values)) <= 1e-10
-
-    def test_cosine_split(self):
-        u = cos_fn(GRID)
-        p1, p2 = convex_concave_split(u)
-        h2 = GRID.h**2
-        assert np.max(np.abs(p1.values + p2.values - u.values)) <= 1e-12
-        d2_1 = (p1.values[2:] - 2 * p1.values[1:-1] + p1.values[:-2]) / h2
-        d2_2 = (p2.values[2:] - 2 * p2.values[1:-1] + p2.values[:-2]) / h2
-        d2 = (u.values[2:] - 2 * u.values[1:-1] + u.values[:-2]) / h2
-        assert np.min(d2_1) >= -1e-8
-        assert np.max(d2_2) <= 1e-8
-        assert np.max(np.abs(d2_1 - np.maximum(d2, 0.0))) <= 1e-7
-
-    @given(grid_values(32))
-    @settings(max_examples=60, deadline=None)
-    def test_split_reconstructs_exactly(self, vals):
-        g = CircleGrid(32)
-        u = GridFn(g, vals)
-        p1, p2 = convex_concave_split(u)
-        assert np.max(np.abs(p1.values + p2.values - u.values)) <= 1e-9 * max(
-            1.0, np.max(np.abs(vals))
-        )
 
 
 class TestCsv:

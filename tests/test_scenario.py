@@ -103,6 +103,38 @@ class TestSimulatePath:
         assert inc.max() > 0  # path actually moves
 
 
+def roll_observable_path(policy, x0, horizon, dt, seed):
+    """simulate_path's observable route as it stood with its own np.roll stencil."""
+    n_steps = int(round(horizon / dt))
+    x = float(np.mod(x0, TWO_PI))
+    noise_list = np.random.default_rng(seed).standard_normal(n_steps).tolist()
+    sq = math.sqrt(dt)
+    obs = policy.observable
+    m = obs.grid.m
+    scale = m / TWO_PI
+    if policy.kind == "threshold-feedback":
+        table = (obs.values > policy.level).tolist()
+    else:
+        curv = np.roll(obs.values, -1) - 2.0 * obs.values + np.roll(obs.values, 1)
+        table = (curv > 0.0).tolist()
+    out = np.empty(n_steps + 1)
+    out[0] = x
+    for k, z in enumerate(noise_list):
+        s = policy.sigma_hi if table[int(x * scale + 0.5) % m] else policy.sigma_lo
+        x = (x + s * sq * z) % TWO_PI
+        out[k + 1] = x
+    return out
+
+
+class TestObservablePolicies:
+    @pytest.mark.parametrize("m", [8, 64, 256, 1024])
+    def test_random_observable_paths_match_roll_stencil_loop(self, m):
+        obs = random_fn(CircleGrid(m), 17 + m)
+        for policy in (threshold_policy(PARAMS, 0.2, obs), greedy_policy(PARAMS, obs)):
+            got = simulate_path(policy, 1.0, 50.0, 0.01, 5).positions
+            assert np.array_equal(got, roll_observable_path(policy, 1.0, 50.0, 0.01, 5)), policy.kind
+
+
 class TestTimeAverage:
     def test_constant_observable(self):
         path = simulate_path(constant_policy(PARAMS, 1.0), 0.0, 10.0, 0.01, 1)
