@@ -127,6 +127,13 @@ def _load_system(path: str) -> tuple[finite.FiniteSystem, dict]:
     return finite.FiniteSystem(n, priors, theta), raw
 
 
+def _require_counts(args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value < 0:
+            raise InputError(f"--{name} must be >= 0; got {value}")
+
+
 def _gheat_params(args) -> gheat.GHeatParams:
     return gheat.GHeatParams(args.sigma_lo2, args.sigma_hi2, args.cfl)
 
@@ -147,6 +154,7 @@ def _config_block(args, extra: dict | None = None) -> dict:
 
 
 def cmd_lab_audit(args) -> int:
+    _require_counts(args, "payoffs", "trials")
     sys_, raw = _load_system(args.spec)
     if not finite.is_expectation_preserving(sys_):
         raise InputError("system map does not preserve the upper expectation")
@@ -167,12 +175,13 @@ def cmd_lab_audit(args) -> int:
                 "theta_fixed_qs": rep.theta_fixed_qs,
             }
         )
-    max_min = math.inf
+    max_min = None  # reported as null when no trial ran
     for _ in range(args.trials):
         xi = Rv(tuple(rng.uniform(-1.0, 1.0, sys_.n)))
         k = int(rng.integers(1, 9))
-        max_min = min(max_min, finite.maximal_ergodic_check(sys_, xi, k))
-    maximal_ok = max_min >= -1e-12
+        value = finite.maximal_ergodic_check(sys_, xi, k)
+        max_min = value if max_min is None else min(max_min, value)
+    maximal_ok = max_min is None or max_min >= -1e-12
     ok = thm.consistent and fixed.consistent and slln_ok and maximal_ok
     report = {
         "config": {"spec": args.spec, "seed": args.seed, "defaults": DEFAULTS},
@@ -194,6 +203,7 @@ def cmd_lab_audit(args) -> int:
 
 
 def cmd_lab_enumerate(args) -> int:
+    _require_counts(args, "payoffs")
     if args.n > 4:
         raise InputError("exhaustive mode is limited to n <= 4")
     rng = np.random.default_rng(args.seed)

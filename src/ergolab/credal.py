@@ -39,6 +39,8 @@ class ProbVector:
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
         if w.ndim != 1 or w.size == 0:
             raise InputError("weights must be a nonempty 1-d sequence")
+        if not np.all(np.isfinite(w)):
+            raise InputError(f"non-finite weight in {self.weights}")
         if np.any(w < -TOL_SIMPLEX):
             raise InputError(f"negative weight in {self.weights}")
         s = float(w.sum())

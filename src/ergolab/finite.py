@@ -7,6 +7,12 @@ iff theta_* maps the hull onto itself, that is iff theta_* permutes the
 hull's vertices.  The vertices of a prior set are found once and cached; a
 decision is then a comparison of two small vertex arrays.
 
+Everything that depends only on the system is settled once per system and
+kept in one bounded cache: the preservation verdict, the prior matrix and,
+on first use, the ergodicity verdict.  Every upper capacity the audits need
+is read from that matrix as max(P @ 1_A) on a boolean mask, the same product
+that upper_exp forms on the event's indicator.
+
 On a finite space every orbit is preperiodic, so Birkhoff averages are exact
 cycle means, monotone limits of sets are attained after finitely many steps,
 and the classical equivalences between indecomposability, simplicity of the
@@ -19,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.optimize import linprog
@@ -33,7 +39,6 @@ from .credal import (
     PriorSet,
     ProbVector,
     Rv,
-    lower_exp,
     upper_exp,
 )
 
@@ -124,6 +129,9 @@ MAP_CACHE_SIZE = 1024
 
 #: cache size of the per-prior-set vertex arrays
 VERTEX_CACHE_SIZE = 256
+
+#: cache size of the per-system facts; an audit run reads one system at a time
+SYSTEM_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
@@ -245,9 +253,46 @@ def is_expectation_preserving(sys: FiniteSystem) -> bool:
     return bool(close.any(axis=1).all() and close.any(axis=0).all())
 
 
-def _require_preserving(sys: FiniteSystem) -> None:
-    if not is_expectation_preserving(sys):
+def _upper_capacity(matrix: np.ndarray, mask: np.ndarray) -> float:
+    """Upper capacity of the event with the given boolean mask."""
+    return float(np.max(matrix @ mask.astype(float)))
+
+
+@dataclass(frozen=True, eq=False)
+class _SystemFacts:
+    """What the audits of one system share: settled once per system."""
+
+    sys: FiniteSystem
+    preserving: bool
+    matrix: np.ndarray
+
+    @cached_property
+    def ergodic(self) -> bool:
+        """Every invariant set, a union of grand-orbit classes, is polar or co-polar."""
+        part = _enumerable_orbits(self.sys)
+        class_of = np.asarray(part.class_of)
+        for bits in range(1 << len(part.classes)):
+            inside = ((bits >> class_of) & 1) == 1
+            if (
+                _upper_capacity(self.matrix, inside) > TOL_SIMPLEX
+                and _upper_capacity(self.matrix, ~inside) > TOL_SIMPLEX
+            ):
+                return False
+        return True
+
+
+@lru_cache(maxsize=SYSTEM_CACHE_SIZE)
+def _system_facts(sys: FiniteSystem) -> _SystemFacts:
+    matrix = sys.priors.matrix()
+    matrix.flags.writeable = False
+    return _SystemFacts(sys, is_expectation_preserving(sys), matrix)
+
+
+def _require_preserving(sys: FiniteSystem) -> _SystemFacts:
+    facts = _system_facts(sys)
+    if not facts.preserving:
         raise ContractError("map does not preserve the upper expectation")
+    return facts
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
@@ -275,14 +320,21 @@ def grand_orbits(theta: FiniteMap) -> GrandOrbitPartition:
     return GrandOrbitPartition(class_of, classes)
 
 
-def invariant_sets(sys: FiniteSystem) -> list[EventSet]:
-    """All B with theta^{-1}(B) = B, as unions of grand-orbit classes."""
+def _enumerable_orbits(sys: FiniteSystem) -> GrandOrbitPartition:
+    """The grand-orbit partition, if its 2^k unions are within the enumeration budget."""
     if sys.n > 24:
         raise InputError("enumeration budget exceeded: n must be <= 24")
     part = grand_orbits(sys.theta)
     k = len(part.classes)
     if k > MAX_ENUM_BITS:
         raise InputError(f"enumeration budget exceeded: {k} orbit classes")
+    return part
+
+
+def invariant_sets(sys: FiniteSystem) -> list[EventSet]:
+    """All B with theta^{-1}(B) = B, as unions of grand-orbit classes."""
+    part = _enumerable_orbits(sys)
+    k = len(part.classes)
     out = []
     for bits in range(1 << k):
         members: set[int] = set()
@@ -294,14 +346,8 @@ def invariant_sets(sys: FiniteSystem) -> list[EventSet]:
 
 
 def is_ergodic(sys: FiniteSystem) -> bool:
-    """Every invariant set is polar or co-polar."""
-    _require_preserving(sys)
-    for b in invariant_sets(sys):
-        v_b = upper_exp(sys.priors, b.indicator())
-        v_bc = upper_exp(sys.priors, b.complement().indicator())
-        if v_b > TOL_SIMPLEX and v_bc > TOL_SIMPLEX:
-            return False
-    return True
+    """Every invariant set is polar or co-polar; decided once per system."""
+    return _require_preserving(sys).ergodic
 
 
 @dataclass(frozen=True)
@@ -317,11 +363,10 @@ class FixedSpaceReport:
         return self.simple == self.ergodic
 
 
-def _constant_quasi_surely(sys: FiniteSystem, values: np.ndarray) -> bool:
+def _constant_quasi_surely(matrix: np.ndarray, values: np.ndarray) -> bool:
     """Whether the payoff equals some constant off a polar set."""
     for v in np.unique(values):
-        off = EventSet(sys.n, frozenset(int(i) for i in np.nonzero(np.abs(values - v) > 0)[0]))
-        if upper_exp(sys.priors, off.indicator()) <= TOL_SIMPLEX:
+        if _upper_capacity(matrix, np.abs(values - v) > 0) <= TOL_SIMPLEX:
             return True
     return False
 
@@ -334,7 +379,7 @@ def fixed_space_audit(sys: FiniteSystem, random_payoffs: int = 5, seed: int = 0)
     on the 0/1 labelings of classes and double-checked on seeded random
     class-constant payoffs.
     """
-    _require_preserving(sys)
+    facts = _require_preserving(sys)
     part = grand_orbits(sys.theta)
     k = len(part.classes)
     if k > MAX_ENUM_BITS:
@@ -343,17 +388,17 @@ def fixed_space_audit(sys: FiniteSystem, random_payoffs: int = 5, seed: int = 0)
     simple = True
     for bits in range(1 << k):
         labels = np.asarray([(bits >> j) & 1 for j in range(k)], dtype=float)
-        if not _constant_quasi_surely(sys, labels[class_of]):
+        if not _constant_quasi_surely(facts.matrix, labels[class_of]):
             simple = False
             break
     if simple:
         rng = np.random.default_rng(seed)
         for _ in range(random_payoffs):
             labels = rng.uniform(-1.0, 1.0, k)
-            if not _constant_quasi_surely(sys, labels[class_of]):
+            if not _constant_quasi_surely(facts.matrix, labels[class_of]):
                 simple = False
                 break
-    return FixedSpaceReport(dimension=k, simple=simple, ergodic=is_ergodic(sys))
+    return FixedSpaceReport(dimension=k, simple=simple, ergodic=facts.ergodic)
 
 
 def birkhoff_limit(sys: FiniteSystem, x: Rv, omega: int) -> tuple[float, float]:
@@ -406,44 +451,46 @@ def slln_audit(sys: FiniteSystem, x: Rv) -> SllnReport:
     [lower_exp(x), upper_exp(x)] and its upper capacity; on an ergodic system
     that set must be polar.  If x is theta-fixed off a polar set, additionally
     checks that the cycle mean equals upper_exp(x) off a polar set.
+
+    Ergodicity is a property of the system, not of the payoff, so it is
+    decided once per system and reused for every payoff.  The envelope and
+    every capacity are read from the system's cached prior matrix, bit for
+    bit what lower_exp, upper_exp and the event indicators would give.
     """
-    _require_preserving(sys)
+    facts = _require_preserving(sys)
     if x.n != sys.n:
         raise InputError("payoff dimension mismatch")
     dec = orbit_decomposition(sys.theta)
     means = dec.cycle_means(x)
-    lo = lower_exp(sys.priors, x)
-    hi = upper_exp(sys.priors, x)
-    bad = np.nonzero((means < lo - TOL_DERIVED) | (means > hi + TOL_DERIVED))[0]
-    bad_set = EventSet(sys.n, frozenset(int(i) for i in bad))
-    bad_cap = upper_exp(sys.priors, bad_set.indicator())
-
     vals = x.as_array()
-    moved = np.nonzero(np.abs(vals[sys.theta.as_array()] - vals) > TOL_SIMPLEX)[0]
-    moved_set = EventSet(sys.n, frozenset(int(i) for i in moved))
-    theta_fixed_qs = upper_exp(sys.priors, moved_set.indicator()) <= TOL_SIMPLEX
+    lo = -float(np.max(facts.matrix @ -vals))
+    hi = float(np.max(facts.matrix @ vals))
+    bad = (means < lo - TOL_DERIVED) | (means > hi + TOL_DERIVED)
+    bad_cap = _upper_capacity(facts.matrix, bad)
+
+    moved = np.abs(vals[sys.theta.as_array()] - vals) > TOL_SIMPLEX
+    theta_fixed_qs = _upper_capacity(facts.matrix, moved) <= TOL_SIMPLEX
 
     fixed_bad_members: tuple[int, ...] = ()
     fixed_bad_cap = 0.0
     equality: bool | None = None
     if theta_fixed_qs:
-        fb = np.nonzero(np.abs(means - hi) > 1e-9)[0]
-        fixed_bad_members = tuple(int(i) for i in fb)
-        fb_set = EventSet(sys.n, frozenset(fixed_bad_members))
-        fixed_bad_cap = upper_exp(sys.priors, fb_set.indicator())
+        fb = np.abs(means - hi) > 1e-9
+        fixed_bad_members = tuple(int(i) for i in np.nonzero(fb)[0])
+        fixed_bad_cap = _upper_capacity(facts.matrix, fb)
         equality = fixed_bad_cap <= TOL_SIMPLEX
 
     return SllnReport(
-        ergodic=is_ergodic(sys),
+        ergodic=facts.ergodic,
         lower=lo,
         upper=hi,
         cycle_means=tuple(float(m) for m in means),
-        bad_members=tuple(int(i) for i in bad),
-        bad_capacity=float(bad_cap),
+        bad_members=tuple(int(i) for i in np.nonzero(bad)[0]),
+        bad_capacity=bad_cap,
         bounds_hold_qs=bad_cap <= TOL_SIMPLEX,
         theta_fixed_qs=theta_fixed_qs,
         fixed_bad_members=fixed_bad_members,
-        fixed_bad_capacity=float(fixed_bad_cap),
+        fixed_bad_capacity=fixed_bad_cap,
         equality_holds_qs=equality,
     )
 
@@ -493,12 +540,12 @@ class IndecomposabilityReport:
         return len(set(self.statements)) == 1
 
 
-def _capacity_table(sys: FiniteSystem) -> np.ndarray:
+def _capacity_table(matrix: np.ndarray) -> np.ndarray:
     """Upper capacity of every subset, indexed by bitmask."""
-    n = sys.n
+    n = matrix.shape[1]
     masks = np.arange(1 << n, dtype=np.uint64)
     bits = (masks[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & 1
-    return np.max(bits.astype(float) @ sys.priors.matrix().T, axis=1)
+    return np.max(bits.astype(float) @ matrix.T, axis=1)
 
 
 def _preimage_masks(theta: FiniteMap) -> np.ndarray:
@@ -536,11 +583,11 @@ def indecomposability_audit(sys: FiniteSystem) -> IndecomposabilityReport:
     evaluated on the singleton generators of positive capacity; that is an
     elementary reduction, not an appeal to the equivalence being audited.
     """
-    _require_preserving(sys)
+    facts = _require_preserving(sys)
     n = sys.n
     if n > 12:
         raise InputError("enumeration budget exceeded: audit requires n <= 12")
-    vtab = _capacity_table(sys)
+    vtab = _capacity_table(facts.matrix)
     full = (1 << n) - 1
     pre_pt = _preimage_masks(sys.theta)
     dec = orbit_decomposition(sys.theta)
@@ -651,21 +698,20 @@ def invariant_prior_set(theta: FiniteMap, seed_prior: ProbVector) -> PriorSet:
     iterates are permuted cyclically by theta, so their collection has
     theta-invariant convex hull.
     """
+    if theta.n != seed_prior.n:
+        raise InputError("dimension mismatch between map and prior")
     dec = orbit_decomposition(theta)
-    rho, period = dec.max_preperiod, dec.cycle_lcm
-    p = seed_prior
-    for _ in range(rho):
-        p = pushforward(theta, p)
-    iterates = []
-    for _ in range(period):
-        iterates.append(p)
-        p = pushforward(theta, p)
+    row = seed_prior.as_array()[None, :]
+    for _ in range(dec.max_preperiod):
+        row = _push_rows(theta, row)
     seen = set()
     unique = []
-    for q in iterates:
-        if q.weights not in seen:
-            seen.add(q.weights)
-            unique.append(q)
+    for _ in range(dec.cycle_lcm):
+        weights = tuple(row[0].tolist())
+        if weights not in seen:
+            seen.add(weights)
+            unique.append(ProbVector(weights))
+        row = _push_rows(theta, row)
     return PriorSet(tuple(unique))
 
 

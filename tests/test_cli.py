@@ -50,6 +50,31 @@ class TestLabAudit:
         spec = write_spec(tmp_path, {"n": 2, "theta": [1, 0], "priors": [[0.3, 0.7]]})
         assert run(["lab-audit", "--spec", spec]) == 2
 
+    def test_nan_weight_exit_2_with_its_own_message(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {"n": 2, "theta": [0, 1], "priors": [[float("nan"), 1.0]]})
+        assert run(["lab-audit", "--spec", spec]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite weight" in err
+        assert "does not preserve" not in err
+
+    @pytest.mark.parametrize("option", ["--trials", "--payoffs"])
+    def test_negative_count_exit_2(self, tmp_path, capsys, option):
+        spec = write_spec(tmp_path, THREE_CYCLE)
+        out = tmp_path / "report.json"
+        assert run(["lab-audit", "--spec", spec, option, "-1", "--out", str(out)]) == 2
+        assert f"{option} must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_trials_reports_null(self, tmp_path):
+        spec = write_spec(tmp_path, THREE_CYCLE)
+        out = tmp_path / "report.json"
+        assert run(["lab-audit", "--spec", spec, "--trials", "0", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "Infinity" not in text
+        report = json.loads(text)
+        assert report["maximal_ergodic_min"] is None
+        assert report["maximal_ergodic_ok"] is True
+
     def test_report_echoes_defaults(self, tmp_path):
         spec = write_spec(tmp_path, THREE_CYCLE)
         out = tmp_path / "report.json"
@@ -70,6 +95,12 @@ class TestLabEnumerate:
     def test_n3_sweep_clean(self, tmp_path):
         out = tmp_path / "sweep.json"
         assert run(["lab-enumerate", "--n", "3", "--out", str(out)]) == 0
+
+    def test_negative_payoffs_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        assert run(["lab-enumerate", "--n", "2", "--payoffs", "-1", "--out", str(out)]) == 2
+        assert "--payoffs must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_n5_budget_exit_2(self):
         assert run(["lab-enumerate", "--n", "5"]) == 2

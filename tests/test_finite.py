@@ -1,15 +1,32 @@
+import importlib
 import itertools
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ergolab
 from ergolab import finite
-from ergolab.credal import ContractError, EventSet, InputError, PriorSet, ProbVector, Rv, upper_exp
+from ergolab.credal import (
+    TOL_DERIVED,
+    TOL_SIMPLEX,
+    ContractError,
+    EventSet,
+    InputError,
+    PriorSet,
+    ProbVector,
+    Rv,
+    lower_exp,
+    upper_exp,
+)
 from ergolab.finite import (
     HULL_TOL,
+    MAX_ENUM_BITS,
     FiniteMap,
+    FixedSpaceReport,
+    SllnReport,
     FiniteSystem,
     all_maps,
     birkhoff_limit,
@@ -230,6 +247,207 @@ class TestVertexPermutationDifferential:
         assert accepts == 6  # exactly the permutations
 
 
+def _two_point_priors():
+    """Distinct one-prior sets on two points; no vertex LP is needed for them."""
+    for j in itertools.count(1):
+        yield PriorSet(((1.0 / (j + 1), 1.0 - 1.0 / (j + 1)),))
+
+
+#: a stream of distinct cheap keys for every cached function in the package
+CACHE_KEYS = {
+    "ergolab.finite.orbit_decomposition": lambda: ((theta,) for theta in all_maps(5)),
+    "ergolab.finite.grand_orbits": lambda: ((theta,) for theta in all_maps(5)),
+    "ergolab.finite.hull_vertices": lambda: ((priors,) for priors in _two_point_priors()),
+    "ergolab.finite._system_facts": lambda: (
+        (FiniteSystem(2, priors, FiniteMap((0, 1))),) for priors in _two_point_priors()
+    ),
+    "ergolab.wrapped.kernel_row": lambda: ((16, 1.0, 0.01 * j) for j in itertools.count(1)),
+}
+
+
+def package_caches():
+    """Every attribute of every ergolab module that has cache_info, by qualified name."""
+    found = {}
+    for info in pkgutil.iter_modules(ergolab.__path__, "ergolab."):
+        if info.name == "ergolab.__main__":
+            continue
+        module = importlib.import_module(info.name)
+        for attr, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                found[f"{value.__module__}.{value.__qualname__}"] = value
+    return found
+
+
+# The route the per-system cache replaced, copied verbatim except that each
+# name carries a ref_ prefix: every capacity goes through an EventSet
+# indicator and upper_exp, and ergodicity is decided again on every call.
+
+
+def ref_require_preserving(sys: FiniteSystem) -> None:
+    if not is_expectation_preserving(sys):
+        raise ContractError("map does not preserve the upper expectation")
+
+
+def ref_is_ergodic(sys: FiniteSystem) -> bool:
+    """Every invariant set is polar or co-polar."""
+    ref_require_preserving(sys)
+    for b in invariant_sets(sys):
+        v_b = upper_exp(sys.priors, b.indicator())
+        v_bc = upper_exp(sys.priors, b.complement().indicator())
+        if v_b > TOL_SIMPLEX and v_bc > TOL_SIMPLEX:
+            return False
+    return True
+
+
+def ref_constant_quasi_surely(sys: FiniteSystem, values: np.ndarray) -> bool:
+    """Whether the payoff equals some constant off a polar set."""
+    for v in np.unique(values):
+        off = EventSet(sys.n, frozenset(int(i) for i in np.nonzero(np.abs(values - v) > 0)[0]))
+        if upper_exp(sys.priors, off.indicator()) <= TOL_SIMPLEX:
+            return True
+    return False
+
+
+def ref_fixed_space_audit(sys: FiniteSystem, random_payoffs: int = 5, seed: int = 0) -> FixedSpaceReport:
+    ref_require_preserving(sys)
+    part = grand_orbits(sys.theta)
+    k = len(part.classes)
+    if k > MAX_ENUM_BITS:
+        raise InputError(f"enumeration budget exceeded: {k} orbit classes")
+    class_of = np.asarray(part.class_of)
+    simple = True
+    for bits in range(1 << k):
+        labels = np.asarray([(bits >> j) & 1 for j in range(k)], dtype=float)
+        if not ref_constant_quasi_surely(sys, labels[class_of]):
+            simple = False
+            break
+    if simple:
+        rng = np.random.default_rng(seed)
+        for _ in range(random_payoffs):
+            labels = rng.uniform(-1.0, 1.0, k)
+            if not ref_constant_quasi_surely(sys, labels[class_of]):
+                simple = False
+                break
+    return FixedSpaceReport(dimension=k, simple=simple, ergodic=ref_is_ergodic(sys))
+
+
+def ref_slln_audit(sys: FiniteSystem, x: Rv) -> SllnReport:
+    ref_require_preserving(sys)
+    if x.n != sys.n:
+        raise InputError("payoff dimension mismatch")
+    dec = orbit_decomposition(sys.theta)
+    means = dec.cycle_means(x)
+    lo = lower_exp(sys.priors, x)
+    hi = upper_exp(sys.priors, x)
+    bad = np.nonzero((means < lo - TOL_DERIVED) | (means > hi + TOL_DERIVED))[0]
+    bad_set = EventSet(sys.n, frozenset(int(i) for i in bad))
+    bad_cap = upper_exp(sys.priors, bad_set.indicator())
+
+    vals = x.as_array()
+    moved = np.nonzero(np.abs(vals[sys.theta.as_array()] - vals) > TOL_SIMPLEX)[0]
+    moved_set = EventSet(sys.n, frozenset(int(i) for i in moved))
+    theta_fixed_qs = upper_exp(sys.priors, moved_set.indicator()) <= TOL_SIMPLEX
+
+    fixed_bad_members: tuple[int, ...] = ()
+    fixed_bad_cap = 0.0
+    equality: bool | None = None
+    if theta_fixed_qs:
+        fb = np.nonzero(np.abs(means - hi) > 1e-9)[0]
+        fixed_bad_members = tuple(int(i) for i in fb)
+        fb_set = EventSet(sys.n, frozenset(fixed_bad_members))
+        fixed_bad_cap = upper_exp(sys.priors, fb_set.indicator())
+        equality = fixed_bad_cap <= TOL_SIMPLEX
+
+    return SllnReport(
+        ergodic=ref_is_ergodic(sys),
+        lower=lo,
+        upper=hi,
+        cycle_means=tuple(float(m) for m in means),
+        bad_members=tuple(int(i) for i in bad),
+        bad_capacity=float(bad_cap),
+        bounds_hold_qs=bad_cap <= TOL_SIMPLEX,
+        theta_fixed_qs=theta_fixed_qs,
+        fixed_bad_members=fixed_bad_members,
+        fixed_bad_capacity=float(fixed_bad_cap),
+        equality_holds_qs=equality,
+    )
+
+
+def ref_invariant_prior_set(theta: FiniteMap, seed_prior: ProbVector) -> PriorSet:
+    dec = orbit_decomposition(theta)
+    rho, period = dec.max_preperiod, dec.cycle_lcm
+    p = seed_prior
+    for _ in range(rho):
+        p = pushforward(theta, p)
+    iterates = []
+    for _ in range(period):
+        iterates.append(p)
+        p = pushforward(theta, p)
+    seen = set()
+    unique = []
+    for q in iterates:
+        if q.weights not in seen:
+            seen.add(q.weights)
+            unique.append(q)
+    return PriorSet(tuple(unique))
+
+
+def ref_random_preserving_system(n: int, rng: np.random.Generator) -> FiniteSystem:
+    theta = FiniteMap(tuple(int(i) for i in rng.integers(0, n, n)))
+    raw = rng.uniform(0.0, 1.0, n) + 1e-3
+    seed_prior = ProbVector(tuple(raw / raw.sum()))
+    priors = ref_invariant_prior_set(theta, seed_prior)
+    return FiniteSystem(n, priors, theta)
+
+
+class TestSystemCacheDifferential:
+    """Per-system facts and matrix capacities agree with the route they replaced, under ==."""
+
+    @staticmethod
+    def payoffs(sys_, rng, count=3):
+        """Seeded random payoffs plus one theta-fixed (grand-orbit-class-constant) payoff."""
+        class_of = np.asarray(grand_orbits(sys_.theta).class_of)
+        rows = [rng.uniform(-1.0, 1.0, sys_.n) for _ in range(count)]
+        rows.append(rng.uniform(-1.0, 1.0, int(class_of.max()) + 1)[class_of])
+        return [Rv(tuple(r)) for r in rows]
+
+    def assert_same(self, sys_, rng, tally):
+        # decided cold, then read warm from the cache after the payoff audits
+        ergodic = is_ergodic(sys_)
+        assert ergodic == ref_is_ergodic(sys_)
+        assert fixed_space_audit(sys_) == ref_fixed_space_audit(sys_)
+        for x in self.payoffs(sys_, rng):
+            rep = slln_audit(sys_, x)
+            assert rep == ref_slln_audit(sys_, x), (sys_, x)
+            tally["equality_checked"] += rep.equality_holds_qs is not None
+        assert is_ergodic(sys_) == ergodic
+        tally["ergodic"] += ergodic
+        tally["systems"] += 1
+
+    def test_every_preserving_system_n_le_4(self):
+        rng = np.random.default_rng(20181)
+        tally = {"systems": 0, "ergodic": 0, "equality_checked": 0}
+        for n in (1, 2, 3, 4):
+            for sys_ in enumerate_preserving_systems(n):
+                self.assert_same(sys_, rng, tally)
+        assert tally["systems"] == 470
+        assert 0 < tally["ergodic"] < tally["systems"]
+        assert tally["equality_checked"] >= tally["systems"]
+
+    def test_random_preserving_systems(self):
+        rng = np.random.default_rng(20182)
+        tally = {"systems": 0, "ergodic": 0, "equality_checked": 0}
+        for _ in range(500):
+            n = int(rng.integers(2, 9))
+            seed = int(rng.integers(0, 2**32))
+            new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            sys_ = random_preserving_system(n, new_rng)
+            assert sys_ == ref_random_preserving_system(n, ref_rng)
+            assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+            self.assert_same(sys_, rng, tally)
+        assert 0 < tally["ergodic"] < tally["systems"] == 500
+
+
 class TestMapCaches:
     @pytest.mark.parametrize("cached", [orbit_decomposition, grand_orbits])
     def test_cache_is_bounded(self, cached):
@@ -238,6 +456,35 @@ class TestMapCaches:
         for theta in itertools.islice(all_maps(5), maxsize + 8):
             cached(theta)
         assert cached.cache_info().currsize <= maxsize
+
+    def test_every_package_cache_has_a_key_stream(self):
+        assert set(package_caches()) == set(CACHE_KEYS)
+
+    @pytest.mark.parametrize("name", sorted(CACHE_KEYS))
+    def test_every_package_cache_is_bounded(self, name):
+        cached = package_caches()[name]
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 10**5
+        for args in itertools.islice(CACHE_KEYS[name](), maxsize + 8):
+            cached(*args)
+        assert cached.cache_info().currsize <= maxsize
+
+    def test_cached_prior_matrix_is_read_only(self):
+        matrix = finite._system_facts(FiniteSystem(3, UNIFORM3, CYCLE3)).matrix
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.0
+
+    def test_non_preserving_system_raises_after_a_preserving_one_is_cached(self):
+        preserving = FiniteSystem(2, PriorSet(((0.5, 0.5),)), FiniteMap((1, 0)))
+        swapped = FiniteSystem(2, PriorSet(((0.3, 0.7),)), FiniteMap((1, 0)))
+        assert is_ergodic(preserving)
+        for _ in range(2):
+            with pytest.raises(ContractError):
+                is_ergodic(swapped)
+            with pytest.raises(ContractError):
+                slln_audit(swapped, Rv((0.0, 1.0)))
+        assert is_ergodic(preserving)
 
 
 class TestGrandOrbits:
