@@ -459,44 +459,49 @@ def _build_parser() -> argparse.ArgumentParser:
     gheat_parser = sub.add_parser("gheat", help="circle heat-flow runs and cross-checks")
     gsub = gheat_parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(sp, tol_default):
-        sp.add_argument("--phi", default="cos")
+    # --phi and --tol go only to the subcommands that read them
+    def add_common(sp, phi: bool):
+        if phi:
+            sp.add_argument("--phi", default="cos")
         sp.add_argument("--grid", type=int, default=DEFAULTS["grid"])
         sp.add_argument("--cfl", type=float, default=DEFAULTS["cfl"])
         sp.add_argument("--sigma-lo2", dest="sigma_lo2", type=float, default=DEFAULTS["sigma_lo2"])
         sp.add_argument("--sigma-hi2", dest="sigma_hi2", type=float, default=DEFAULTS["sigma_hi2"])
-        sp.add_argument("--tol", type=float, default=tol_default)
         sp.add_argument("--out", default=None)
 
     g_solve = gsub.add_parser("solve", help="evolve initial data and emit CSV")
-    add_common(g_solve, None)
+    add_common(g_solve, phi=True)
     g_solve.add_argument("--t", type=float, required=True)
     g_solve.set_defaults(func=cmd_gheat_solve)
 
     g_inv = gsub.add_parser("invariant", help="space mean of the flow at several delays")
-    add_common(g_inv, 2e-3)
+    add_common(g_inv, phi=True)
+    g_inv.add_argument("--tol", type=float, default=2e-3)
     g_inv.add_argument("--deltas", default="0.1,1,5")
     g_inv.set_defaults(func=cmd_gheat_invariant)
 
     g_conv = gsub.add_parser("converge", help="sup distance to the initial mean over time")
-    add_common(g_conv, 1e-3)
+    add_common(g_conv, phi=True)
+    g_conv.add_argument("--tol", type=float, default=1e-3)
     g_conv.add_argument("--times", default="1,2,5,10,20,30")
     g_conv.set_defaults(func=cmd_gheat_converge)
 
     g_steady = gsub.add_parser("steady", help="long-horizon flatness audit")
-    add_common(g_steady, None)
+    add_common(g_steady, phi=True)
     g_steady.add_argument("--t", type=float, default=100.0)
     g_steady.set_defaults(func=cmd_gheat_steady)
 
     g_x = gsub.add_parser("xcheck", help="cross-validate solver, kernels and DP oracle")
-    add_common(g_x, None)
+    add_common(g_x, phi=False)
+    g_x.add_argument("--tol", type=float, default=None)
     g_x.add_argument("--case", choices=("linear", "nonlinear", "convex", "all"), default="all")
     g_x.add_argument("--t", type=float, default=1.0)
     g_x.add_argument("--steps", type=int, default=64)
     g_x.set_defaults(func=cmd_gheat_xcheck)
 
     mc = sub.add_parser("mc-slln", help="Monte Carlo time-average experiment")
-    add_common(mc, 0.05)
+    add_common(mc, phi=True)
+    mc.add_argument("--tol", type=float, default=0.05)
     mc.add_argument("--t", type=float, default=1e4)
     mc.add_argument("--dt", type=float, default=0.01)
     mc.add_argument("--seeds", default=None)

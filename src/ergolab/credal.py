@@ -9,6 +9,7 @@ routines, which draw seed-deterministic random payoffs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +93,8 @@ class Rv:
         if v.ndim != 1 or v.size == 0:
             raise InputError("values must be a nonempty 1-d sequence")
         object.__setattr__(self, "values", tuple(float(x) for x in v))
+        if not all(map(math.isfinite, self.values)):
+            raise InputError(f"non-finite value in {self.values}")
 
     @property
     def n(self) -> int:

@@ -13,6 +13,13 @@ on first use, the ergodicity verdict.  Every upper capacity the audits need
 is read from that matrix as max(P @ 1_A) on a boolean mask, the same product
 that upper_exp forms on the event's indicator.
 
+Each component of a functional graph holds exactly one cycle, so the grand
+orbits are read off the cycle decomposition, and the invariant sets (the
+unions of grand orbits) are enumerated by one generator of boolean masks
+that the ergodicity verdict, invariant_sets and both audits share.  The
+four-statement audit builds one table per system holding the capacity and
+the theta-preimage bitmask of every subset.
+
 On a finite space every orbit is preperiodic, so Birkhoff averages are exact
 cycle means, monotone limits of sets are attained after finitely many steps,
 and the classical equivalences between indecomposability, simplicity of the
@@ -39,7 +46,6 @@ from .credal import (
     PriorSet,
     ProbVector,
     Rv,
-    upper_exp,
 )
 
 #: L-infinity tolerance for convex-hull membership decisions
@@ -269,10 +275,7 @@ class _SystemFacts:
     @cached_property
     def ergodic(self) -> bool:
         """Every invariant set, a union of grand-orbit classes, is polar or co-polar."""
-        part = _enumerable_orbits(self.sys)
-        class_of = np.asarray(part.class_of)
-        for bits in range(1 << len(part.classes)):
-            inside = ((bits >> class_of) & 1) == 1
+        for inside in _invariant_masks(self.sys):
             if (
                 _upper_capacity(self.matrix, inside) > TOL_SIMPLEX
                 and _upper_capacity(self.matrix, ~inside) > TOL_SIMPLEX
@@ -297,52 +300,36 @@ def _require_preserving(sys: FiniteSystem) -> _SystemFacts:
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
 def grand_orbits(theta: FiniteMap) -> GrandOrbitPartition:
-    """Connected components of the undirected functional graph {i -- theta(i)}."""
-    n = theta.n
-    parent = list(range(n))
+    """Connected components of the undirected functional graph {i -- theta(i)}.
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        ra, rb = find(i), find(theta(i))
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    roots = sorted({find(i) for i in range(n)})
-    label = {r: k for k, r in enumerate(roots)}
-    class_of = tuple(label[find(i)] for i in range(n))
+    Each component holds exactly one cycle, so two points share a component
+    iff they land on the same cycle.  Classes are numbered by first
+    appearance, which is numbering by least member.
+    """
+    label: dict[int, int] = {}
+    class_of = tuple(label.setdefault(c, len(label)) for c in orbit_decomposition(theta).cycle_index)
     classes = tuple(
-        EventSet(n, frozenset(i for i in range(n) if class_of[i] == k)) for k in range(len(roots))
+        EventSet(theta.n, frozenset(i for i, c in enumerate(class_of) if c == k)) for k in range(len(label))
     )
     return GrandOrbitPartition(class_of, classes)
 
 
-def _enumerable_orbits(sys: FiniteSystem) -> GrandOrbitPartition:
-    """The grand-orbit partition, if its 2^k unions are within the enumeration budget."""
+def _invariant_masks(sys: FiniteSystem):
+    """Boolean masks of all B with theta^{-1}(B) = B, the 2^k unions of grand-orbit classes."""
     if sys.n > 24:
         raise InputError("enumeration budget exceeded: n must be <= 24")
     part = grand_orbits(sys.theta)
     k = len(part.classes)
     if k > MAX_ENUM_BITS:
         raise InputError(f"enumeration budget exceeded: {k} orbit classes")
-    return part
+    class_of = np.asarray(part.class_of)
+    for bits in range(1 << k):
+        yield ((bits >> class_of) & 1) == 1
 
 
 def invariant_sets(sys: FiniteSystem) -> list[EventSet]:
     """All B with theta^{-1}(B) = B, as unions of grand-orbit classes."""
-    part = _enumerable_orbits(sys)
-    k = len(part.classes)
-    out = []
-    for bits in range(1 << k):
-        members: set[int] = set()
-        for j in range(k):
-            if bits >> j & 1:
-                members |= part.classes[j].members
-        out.append(EventSet(sys.n, frozenset(members)))
-    return out
+    return [EventSet(sys.n, frozenset(np.flatnonzero(inside))) for inside in _invariant_masks(sys)]
 
 
 def is_ergodic(sys: FiniteSystem) -> bool:
@@ -382,15 +369,10 @@ def fixed_space_audit(sys: FiniteSystem, random_payoffs: int = 5, seed: int = 0)
     facts = _require_preserving(sys)
     part = grand_orbits(sys.theta)
     k = len(part.classes)
-    if k > MAX_ENUM_BITS:
-        raise InputError(f"enumeration budget exceeded: {k} orbit classes")
     class_of = np.asarray(part.class_of)
-    simple = True
-    for bits in range(1 << k):
-        labels = np.asarray([(bits >> j) & 1 for j in range(k)], dtype=float)
-        if not _constant_quasi_surely(facts.matrix, labels[class_of]):
-            simple = False
-            break
+    simple = all(
+        _constant_quasi_surely(facts.matrix, inside.astype(float)) for inside in _invariant_masks(sys)
+    )
     if simple:
         rng = np.random.default_rng(seed)
         for _ in range(random_payoffs):
@@ -515,8 +497,7 @@ def maximal_ergodic_check(sys: FiniteSystem, xi: Rv, k: int) -> float:
         s = s + vals[pos]
         np.maximum(m, s, out=m)
         pos = img[pos]
-    integrand = Rv(tuple(np.where(m > 0.0, vals, 0.0)))
-    return upper_exp(sys.priors, integrand)
+    return float(np.max(sys.priors.matrix() @ np.where(m > 0.0, vals, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -540,33 +521,6 @@ class IndecomposabilityReport:
         return len(set(self.statements)) == 1
 
 
-def _capacity_table(matrix: np.ndarray) -> np.ndarray:
-    """Upper capacity of every subset, indexed by bitmask."""
-    n = matrix.shape[1]
-    masks = np.arange(1 << n, dtype=np.uint64)
-    bits = (masks[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & 1
-    return np.max(bits.astype(float) @ matrix.T, axis=1)
-
-
-def _preimage_masks(theta: FiniteMap) -> np.ndarray:
-    """premask[j] = bitmask of the theta-preimage of {j}."""
-    n = theta.n
-    pre = np.zeros(n, dtype=np.uint64)
-    for i, j in enumerate(theta.image):
-        pre[j] |= np.uint64(1 << i)
-    return pre
-
-
-def _preimage_of_mask(pre_of_point: np.ndarray, mask: int) -> int:
-    out = 0
-    m = int(mask)
-    while m:
-        low = m & -m
-        out |= int(pre_of_point[low.bit_length() - 1])
-        m ^= low
-    return out
-
-
 def indecomposability_audit(sys: FiniteSystem) -> IndecomposabilityReport:
     """Evaluate the four equivalent forms of indecomposability independently.
 
@@ -587,38 +541,38 @@ def indecomposability_audit(sys: FiniteSystem) -> IndecomposabilityReport:
     n = sys.n
     if n > 12:
         raise InputError("enumeration budget exceeded: audit requires n <= 12")
-    vtab = _capacity_table(facts.matrix)
+    # row A of bits is the indicator of subset A; cap[A] is its upper capacity
+    # and pre[A] the bitmask of its theta-preimage
+    masks = np.arange(1 << n)
+    pow2 = 1 << np.arange(n)
+    bits = (masks[:, None] >> np.arange(n)[None, :]) & 1
+    cap = np.max(bits.astype(float) @ facts.matrix.T, axis=1)
+    pre = bits[:, sys.theta.as_array()] @ pow2
     full = (1 << n) - 1
-    pre_pt = _preimage_masks(sys.theta)
     dec = orbit_decomposition(sys.theta)
     bound = dec.max_preperiod + dec.cycle_lcm
 
     s1 = True
-    for b in invariant_sets(sys):
-        mask = sum(1 << i for i in b.members)
-        if vtab[mask] > TOL_SIMPLEX and vtab[full ^ mask] > TOL_SIMPLEX:
+    for inside in _invariant_masks(sys):
+        mask = int(pow2[inside].sum())
+        if cap[mask] > TOL_SIMPLEX and cap[full ^ mask] > TOL_SIMPLEX:
             s1 = False
             break
 
-    s2 = True
-    for mask in range(1 << n):
-        delta = _preimage_of_mask(pre_pt, mask) ^ mask
-        if vtab[delta] <= TOL_SIMPLEX:
-            if vtab[mask] > TOL_SIMPLEX and vtab[full ^ mask] > TOL_SIMPLEX:
-                s2 = False
-                break
+    almost_invariant = cap[pre ^ masks] <= TOL_SIMPLEX
+    s2 = not np.any(almost_invariant & (cap > TOL_SIMPLEX) & (cap[full ^ masks] > TOL_SIMPLEX))
 
-    support = [i for i in range(n) if vtab[1 << i] > TOL_SIMPLEX]
+    support = [i for i in range(n) if cap[1 << i] > TOL_SIMPLEX]
 
     s3 = True
     for a in support:
-        u = _preimage_of_mask(pre_pt, 1 << a)
+        u = int(pre[1 << a])
         while True:
-            nxt = u | _preimage_of_mask(pre_pt, u)
+            nxt = u | int(pre[u])
             if nxt == u:
                 break
             u = nxt
-        if vtab[full ^ u] > TOL_SIMPLEX:
+        if cap[full ^ u] > TOL_SIMPLEX:
             s3 = False
             break
 

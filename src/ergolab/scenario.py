@@ -22,7 +22,7 @@ converge to policy-dependent limits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -286,60 +286,39 @@ def slln_experiment(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class DPLattice:
-    """Backward-recursion lattice: two exact one-step wrapped-Gaussian kernels.
-
-    Each kernel is circulant, so it is held as its first column (``row_lo``,
-    ``row_hi``) and applied through that column's real FFT spectrum.
-    """
-
-    grid: CircleGrid
-    n_steps: int
-    row_lo: np.ndarray
-    row_hi: np.ndarray
-    spectrum_lo: np.ndarray = field(init=False, repr=False)
-    spectrum_hi: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # every row of a circulant is a permutation of its first column, so
-        # the first column's sum is the sum of every row
-        for row in (self.row_lo, self.row_hi):
-            err = abs(float(np.sum(row)) - 1.0)
-            if err > 1e-12:
-                raise InputError(
-                    f"one-step kernel rows sum to 1 only within {err:.2e}; "
-                    "increase the step count or refine the grid"
-                )
-        object.__setattr__(self, "spectrum_lo", np.fft.rfft(self.row_lo))
-        object.__setattr__(self, "spectrum_hi", np.fft.rfft(self.row_hi))
-
-
-def build_lattice(grid: CircleGrid, p: GHeatParams, t: float, n_steps: int) -> DPLattice:
-    if n_steps < 1:
-        raise InputError("n_steps must be >= 1")
-    if t <= 0:
-        raise InputError("t must be > 0")
-    tau = t / n_steps
-    lo = kernel_row(grid.m, p.sigma_lo2, tau)
-    hi = kernel_row(grid.m, p.sigma_hi2, tau)
-    return DPLattice(grid, n_steps, lo, hi)
-
-
 def dp_upper_expectation(phi: GridFn, t: float, p: GHeatParams, n_steps: int) -> GridFn:
     """Backward recursion u_k = max(K_lo u_{k+1}, K_hi u_{k+1}) from u_N = phi.
 
     The per-step maximum over the two endpoint volatilities realizes the
     supremum over step-constant controls; the recursion is an independent
     approximation of the nonlinear semigroup that shares nothing with the
-    finite-difference scheme.  Each step is one forward and two inverse FFTs.
+    finite-difference scheme.  Each one-step kernel is an exact wrapped
+    Gaussian and circulant, so it is held as its first column and applied
+    through that column's real FFT spectrum: each step is one forward and two
+    inverse FFTs.
     """
-    lat = build_lattice(phi.grid, p, t, n_steps)
+    if n_steps < 1:
+        raise InputError("n_steps must be >= 1")
+    if t <= 0:
+        raise InputError("t must be > 0")
     m = phi.grid.m
+    spectra = []
+    for sigma2 in (p.sigma_lo2, p.sigma_hi2):
+        row = kernel_row(m, sigma2, t / n_steps)
+        # every row of a circulant is a permutation of its first column, so
+        # the first column's sum is the sum of every row
+        err = abs(float(np.sum(row)) - 1.0)
+        if err > 1e-12:
+            raise InputError(
+                f"one-step kernel rows sum to 1 only within {err:.2e}; "
+                "increase the step count or refine the grid"
+            )
+        spectra.append(np.fft.rfft(row))
+    spectrum_lo, spectrum_hi = spectra
     u = phi.values
-    for _ in range(lat.n_steps):
+    for _ in range(n_steps):
         f = np.fft.rfft(u)
-        u = np.maximum(np.fft.irfft(f * lat.spectrum_lo, n=m), np.fft.irfft(f * lat.spectrum_hi, n=m))
+        u = np.maximum(np.fft.irfft(f * spectrum_lo, n=m), np.fft.irfft(f * spectrum_hi, n=m))
     return GridFn(phi.grid, u)
 
 

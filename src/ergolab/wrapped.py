@@ -25,7 +25,7 @@ import numpy as np
 from .credal import InputError
 from .gheat import CircleGrid, GridFn
 
-#: default kernel-image truncation tolerance
+#: kernel-image truncation tolerance
 TAIL_TOL = 1e-15
 
 TWO_PI = 2.0 * math.pi
@@ -33,19 +33,16 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class WrappedKernelSpec:
-    """Variance rate, elapsed time and truncation tolerance of a wrapped kernel."""
+    """Variance rate and elapsed time of a wrapped kernel."""
 
     sigma2: float
     t: float
-    tail_tol: float = TAIL_TOL
 
     def __post_init__(self):
         if self.sigma2 <= 0:
             raise InputError("sigma2 must be > 0")
         if self.t <= 0:
             raise InputError("t must be > 0")
-        if not (0 < self.tail_tol < 1):
-            raise InputError("tail_tol must lie in (0, 1)")
 
     @property
     def variance(self) -> float:
@@ -53,7 +50,7 @@ class WrappedKernelSpec:
 
     @property
     def truncation_order(self) -> int:
-        """Smallest K whose omitted image terms sum below tail_tol.
+        """Smallest K whose omitted image terms sum below TAIL_TOL.
 
         Bound: for |x - y| <= 2*pi the omitted centers sit at distance at
         least 2*pi*K, and successive terms decay at least geometrically with
@@ -64,7 +61,7 @@ class WrappedKernelSpec:
         for k in range(1, 201):
             lead = math.exp(-((TWO_PI * k) ** 2) / (2.0 * v))
             ratio = math.exp(-(TWO_PI**2) * (2 * k + 1) / (2.0 * v))
-            if amp * lead / (1.0 - ratio) < self.tail_tol:
+            if amp * lead / (1.0 - ratio) < TAIL_TOL:
                 return k
         raise InputError("kernel truncation order exceeds 200; variance too large")
 
@@ -83,32 +80,32 @@ def wrapped_gauss(spec: WrappedKernelSpec, x, y):
 
 
 @lru_cache(maxsize=64)
-def kernel_row(m: int, sigma2: float, t: float, tail_tol: float = TAIL_TOL) -> np.ndarray:
+def kernel_row(m: int, sigma2: float, t: float) -> np.ndarray:
     """c_k = h * p(t, x_k, 0): the first row and column of the trapezoid operator; cached, read-only.
 
     p depends on x - y only and is even in it, so K[i, j] = c[(i - j) mod m].
     """
     grid = CircleGrid(m)
-    spec = WrappedKernelSpec(sigma2, t, tail_tol)
+    spec = WrappedKernelSpec(sigma2, t)
     row = grid.h * wrapped_gauss(spec, grid.nodes(), 0.0)
     row.flags.writeable = False
     return row
 
 
-def kernel_matrix(m: int, sigma2: float, t: float, tail_tol: float = TAIL_TOL) -> np.ndarray:
+def kernel_matrix(m: int, sigma2: float, t: float) -> np.ndarray:
     """Dense trapezoid operator K[i, j] = c[(i - j) mod m], built on every call.
 
     Library code never builds it: the operator is applied by FFT from
     ``kernel_row``.  It exists to inspect the operator as a matrix.
     """
     idx = np.arange(m)
-    return kernel_row(m, sigma2, t, tail_tol)[(idx[:, None] - idx[None, :]) % m]
+    return kernel_row(m, sigma2, t)[(idx[:, None] - idx[None, :]) % m]
 
 
 def linear_semigroup(phi: GridFn, spec: WrappedKernelSpec) -> GridFn:
     """Quadrature convolution of phi with the wrapped kernel."""
     m = phi.grid.m
-    row = kernel_row(m, spec.sigma2, spec.t, spec.tail_tol)
+    row = kernel_row(m, spec.sigma2, spec.t)
     return GridFn(phi.grid, np.fft.irfft(np.fft.rfft(row) * np.fft.rfft(phi.values), n=m))
 
 

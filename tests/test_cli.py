@@ -196,6 +196,21 @@ class TestGheatCli:
     def test_empty_times_exit_2(self):
         assert run(["gheat", "converge", "--times", ","]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gheat", "solve", "--t", "1", "--tol", "1e-3"],
+            ["gheat", "steady", "--tol", "1e-3"],
+            ["gheat", "xcheck", "--phi", "quad"],
+        ],
+        ids=["solve-tol", "steady-tol", "xcheck-phi"],
+    )
+    def test_unread_option_exit_2(self, argv):
+        # the subcommand never reads the option, so argparse rejects it
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
 
 class TestMcSllnCli:
     def test_state_blind_policies_exit_0(self, tmp_path):

@@ -49,6 +49,11 @@ class TestValidation:
         with pytest.raises(InputError, match="non-finite weight"):
             ProbVector((bad, 1.0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(InputError, match="non-finite value"):
+            Rv((bad, 0.0, 0.0))
+
     def test_mixed_lengths_rejected(self):
         with pytest.raises(InputError):
             PriorSet(((1.0, 0.0), (1.0,)))

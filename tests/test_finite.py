@@ -26,6 +26,8 @@ from ergolab.finite import (
     MAX_ENUM_BITS,
     FiniteMap,
     FixedSpaceReport,
+    GrandOrbitPartition,
+    IndecomposabilityReport,
     SllnReport,
     FiniteSystem,
     all_maps,
@@ -446,6 +448,243 @@ class TestSystemCacheDifferential:
             assert new_rng.bit_generator.state == ref_rng.bit_generator.state
             self.assert_same(sys_, rng, tally)
         assert 0 < tally["ergodic"] < tally["systems"] == 500
+
+
+# The union-find grand orbits, the invariant-set enumerations and the
+# integer-bitmask subset tables that the cycle-decomposition route replaced,
+# copied verbatim except that each name carries a ref_ prefix.  The old
+# ergodicity verdict (a cached property of the per-system facts) is copied as
+# ref_facts_ergodic, and ref_orbit_fixed_space_audit reads it instead of
+# facts.ergodic.
+
+
+def ref_grand_orbits(theta: FiniteMap) -> GrandOrbitPartition:
+    """Connected components of the undirected functional graph {i -- theta(i)}."""
+    n = theta.n
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i in range(n):
+        ra, rb = find(i), find(theta(i))
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    roots = sorted({find(i) for i in range(n)})
+    label = {r: k for k, r in enumerate(roots)}
+    class_of = tuple(label[find(i)] for i in range(n))
+    classes = tuple(
+        EventSet(n, frozenset(i for i in range(n) if class_of[i] == k)) for k in range(len(roots))
+    )
+    return GrandOrbitPartition(class_of, classes)
+
+
+def ref_enumerable_orbits(sys: FiniteSystem) -> GrandOrbitPartition:
+    """The grand-orbit partition, if its 2^k unions are within the enumeration budget."""
+    if sys.n > 24:
+        raise InputError("enumeration budget exceeded: n must be <= 24")
+    part = ref_grand_orbits(sys.theta)
+    k = len(part.classes)
+    if k > MAX_ENUM_BITS:
+        raise InputError(f"enumeration budget exceeded: {k} orbit classes")
+    return part
+
+
+def ref_facts_ergodic(sys: FiniteSystem, matrix: np.ndarray) -> bool:
+    """Every invariant set, a union of grand-orbit classes, is polar or co-polar."""
+    part = ref_enumerable_orbits(sys)
+    class_of = np.asarray(part.class_of)
+    for bits in range(1 << len(part.classes)):
+        inside = ((bits >> class_of) & 1) == 1
+        if (
+            finite._upper_capacity(matrix, inside) > TOL_SIMPLEX
+            and finite._upper_capacity(matrix, ~inside) > TOL_SIMPLEX
+        ):
+            return False
+    return True
+
+
+def ref_invariant_sets(sys: FiniteSystem) -> list[EventSet]:
+    """All B with theta^{-1}(B) = B, as unions of grand-orbit classes."""
+    part = ref_enumerable_orbits(sys)
+    k = len(part.classes)
+    out = []
+    for bits in range(1 << k):
+        members: set[int] = set()
+        for j in range(k):
+            if bits >> j & 1:
+                members |= part.classes[j].members
+        out.append(EventSet(sys.n, frozenset(members)))
+    return out
+
+
+def ref_orbit_fixed_space_audit(
+    sys: FiniteSystem, random_payoffs: int = 5, seed: int = 0
+) -> FixedSpaceReport:
+    facts = finite._require_preserving(sys)
+    part = ref_grand_orbits(sys.theta)
+    k = len(part.classes)
+    if k > MAX_ENUM_BITS:
+        raise InputError(f"enumeration budget exceeded: {k} orbit classes")
+    class_of = np.asarray(part.class_of)
+    simple = True
+    for bits in range(1 << k):
+        labels = np.asarray([(bits >> j) & 1 for j in range(k)], dtype=float)
+        if not finite._constant_quasi_surely(facts.matrix, labels[class_of]):
+            simple = False
+            break
+    if simple:
+        rng = np.random.default_rng(seed)
+        for _ in range(random_payoffs):
+            labels = rng.uniform(-1.0, 1.0, k)
+            if not finite._constant_quasi_surely(facts.matrix, labels[class_of]):
+                simple = False
+                break
+    return FixedSpaceReport(dimension=k, simple=simple, ergodic=ref_facts_ergodic(sys, facts.matrix))
+
+
+def ref_maximal_ergodic_check(sys: FiniteSystem, xi: Rv, k: int) -> float:
+    if k < 1:
+        raise InputError("k must be >= 1")
+    if xi.n != sys.n:
+        raise InputError("payoff dimension mismatch")
+    vals = xi.as_array()
+    img = sys.theta.as_array()
+    pos = np.arange(sys.n, dtype=np.intp)
+    s = np.zeros(sys.n)
+    m = np.zeros(sys.n)  # S_0 = 0
+    for _ in range(k):
+        s = s + vals[pos]
+        np.maximum(m, s, out=m)
+        pos = img[pos]
+    integrand = Rv(tuple(np.where(m > 0.0, vals, 0.0)))
+    return upper_exp(sys.priors, integrand)
+
+
+def ref_capacity_table(matrix: np.ndarray) -> np.ndarray:
+    """Upper capacity of every subset, indexed by bitmask."""
+    n = matrix.shape[1]
+    masks = np.arange(1 << n, dtype=np.uint64)
+    bits = (masks[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & 1
+    return np.max(bits.astype(float) @ matrix.T, axis=1)
+
+
+def ref_preimage_masks(theta: FiniteMap) -> np.ndarray:
+    """premask[j] = bitmask of the theta-preimage of {j}."""
+    n = theta.n
+    pre = np.zeros(n, dtype=np.uint64)
+    for i, j in enumerate(theta.image):
+        pre[j] |= np.uint64(1 << i)
+    return pre
+
+
+def ref_preimage_of_mask(pre_of_point: np.ndarray, mask: int) -> int:
+    out = 0
+    m = int(mask)
+    while m:
+        low = m & -m
+        out |= int(pre_of_point[low.bit_length() - 1])
+        m ^= low
+    return out
+
+
+def ref_indecomposability_audit(sys: FiniteSystem) -> IndecomposabilityReport:
+    facts = finite._require_preserving(sys)
+    n = sys.n
+    if n > 12:
+        raise InputError("enumeration budget exceeded: audit requires n <= 12")
+    vtab = ref_capacity_table(facts.matrix)
+    full = (1 << n) - 1
+    pre_pt = ref_preimage_masks(sys.theta)
+    dec = orbit_decomposition(sys.theta)
+    bound = dec.max_preperiod + dec.cycle_lcm
+
+    s1 = True
+    for b in ref_invariant_sets(sys):
+        mask = sum(1 << i for i in b.members)
+        if vtab[mask] > TOL_SIMPLEX and vtab[full ^ mask] > TOL_SIMPLEX:
+            s1 = False
+            break
+
+    s2 = True
+    for mask in range(1 << n):
+        delta = ref_preimage_of_mask(pre_pt, mask) ^ mask
+        if vtab[delta] <= TOL_SIMPLEX:
+            if vtab[mask] > TOL_SIMPLEX and vtab[full ^ mask] > TOL_SIMPLEX:
+                s2 = False
+                break
+
+    support = [i for i in range(n) if vtab[1 << i] > TOL_SIMPLEX]
+
+    s3 = True
+    for a in support:
+        u = ref_preimage_of_mask(pre_pt, 1 << a)
+        while True:
+            nxt = u | ref_preimage_of_mask(pre_pt, u)
+            if nxt == u:
+                break
+            u = nxt
+        if vtab[full ^ u] > TOL_SIMPLEX:
+            s3 = False
+            break
+
+    s4 = True
+    img = sys.theta.as_array()
+    for a in support:
+        reached = set()
+        cur = np.arange(n, dtype=np.intp)
+        for _ in range(bound):
+            cur = img[cur]
+            reached.update(int(b) for b in np.nonzero(cur == a)[0])
+        if any(b not in reached for b in support):
+            s4 = False
+            break
+
+    return IndecomposabilityReport(statements=(s1, s2, s3, s4), search_bound=bound)
+
+
+class TestOrbitTableDifferential:
+    """Cycle-decomposition orbits, invariant masks and the subset table match the old routes, under ==."""
+
+    def test_grand_orbits_every_map_n_le_6(self):
+        count = 0
+        for n in range(1, 7):
+            for theta in all_maps(n):
+                assert grand_orbits(theta) == ref_grand_orbits(theta), theta
+                count += 1
+        assert count == 50069
+
+    @staticmethod
+    def assert_same(sys_, rng, tally):
+        assert invariant_sets(sys_) == ref_invariant_sets(sys_)
+        assert fixed_space_audit(sys_) == ref_orbit_fixed_space_audit(sys_)
+        report = indecomposability_audit(sys_)
+        assert report == ref_indecomposability_audit(sys_), sys_
+        xi = Rv(tuple(rng.uniform(-1.0, 1.0, sys_.n)))
+        k = int(rng.integers(1, 9))
+        assert maximal_ergodic_check(sys_, xi, k) == ref_maximal_ergodic_check(sys_, xi, k)
+        tally["systems"] += 1
+        tally["indecomposable"] += all(report.statements)
+
+    def test_every_preserving_system_n_le_4(self):
+        rng = np.random.default_rng(20191)
+        tally = {"systems": 0, "indecomposable": 0}
+        for n in (1, 2, 3, 4):
+            for sys_ in enumerate_preserving_systems(n):
+                self.assert_same(sys_, rng, tally)
+        assert tally["systems"] == 470
+        assert 0 < tally["indecomposable"] < tally["systems"]
+
+    def test_random_preserving_systems(self):
+        rng = np.random.default_rng(20192)
+        tally = {"systems": 0, "indecomposable": 0}
+        for _ in range(500):
+            n = int(rng.integers(2, 9))
+            self.assert_same(random_preserving_system(n, rng), rng, tally)
+        assert 0 < tally["indecomposable"] < tally["systems"] == 500
 
 
 class TestMapCaches:

@@ -7,7 +7,6 @@ import pytest
 from ergolab.credal import InputError
 from ergolab.gheat import CircleGrid, GHeatParams, cos_fn, constant_fn, indicator_fn, quad_fn, random_fn, solve
 from ergolab.scenario import (
-    build_lattice,
     capacity_estimate,
     constant_policy,
     default_policy_suite,
@@ -225,11 +224,6 @@ class TestDpOracle:
         a = dp_upper_expectation(cos_fn(GRID), 1.0, PARAMS, 64).values
         b = dp_upper_expectation(cos_fn(GRID), 1.0, PARAMS, 128).values
         assert np.max(np.abs(a - b)) <= 5e-3
-
-    def test_under_resolved_lattice_rejected(self):
-        # sigma_lo2 * (t/N) * M^2 too small: trapezoid rows no longer sum to 1
-        with pytest.raises(InputError):
-            build_lattice(CircleGrid(64), PARAMS, 1.0, 512)
 
     def test_step_count_validated(self):
         with pytest.raises(InputError):
