@@ -382,7 +382,7 @@ def cmd_gheat_xcheck(args) -> int:
 def cmd_mc_slln(args) -> int:
     grid = gheat.CircleGrid(args.grid)
     phi = _parse_phi(args.phi, grid)
-    params = _gheat_params(args)
+    params = gheat.GHeatParams(args.sigma_lo2, args.sigma_hi2)
     policies = _parse_policies(args.policies, params)
     seeds = _parse_seeds(args.seeds)
     if not seeds:
@@ -459,12 +459,13 @@ def _build_parser() -> argparse.ArgumentParser:
     gheat_parser = sub.add_parser("gheat", help="circle heat-flow runs and cross-checks")
     gsub = gheat_parser.add_subparsers(dest="subcommand", required=True)
 
-    # --phi and --tol go only to the subcommands that read them
-    def add_common(sp, phi: bool):
+    # --phi, --cfl and --tol go only to the subcommands that read them
+    def add_common(sp, phi: bool, cfl: bool = True):
         if phi:
             sp.add_argument("--phi", default="cos")
         sp.add_argument("--grid", type=int, default=DEFAULTS["grid"])
-        sp.add_argument("--cfl", type=float, default=DEFAULTS["cfl"])
+        if cfl:
+            sp.add_argument("--cfl", type=float, default=DEFAULTS["cfl"])
         sp.add_argument("--sigma-lo2", dest="sigma_lo2", type=float, default=DEFAULTS["sigma_lo2"])
         sp.add_argument("--sigma-hi2", dest="sigma_hi2", type=float, default=DEFAULTS["sigma_hi2"])
         sp.add_argument("--out", default=None)
@@ -500,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g_x.set_defaults(func=cmd_gheat_xcheck)
 
     mc = sub.add_parser("mc-slln", help="Monte Carlo time-average experiment")
-    add_common(mc, phi=True)
+    add_common(mc, phi=True, cfl=False)
     mc.add_argument("--tol", type=float, default=0.05)
     mc.add_argument("--t", type=float, default=1e4)
     mc.add_argument("--dt", type=float, default=0.01)

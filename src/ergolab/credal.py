@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 #: absolute tolerance for simplex membership and capacity comparisons
 TOL_SIMPLEX = 1e-12
@@ -218,13 +217,17 @@ def _certainty_basis(prior_set: PriorSet) -> np.ndarray:
 
     These are exactly the payoffs with no mean uncertainty: the upper and
     lower envelopes of a finite family of linear functionals agree iff the
-    functionals all take the same value.
+    functionals all take the same value.  The null space of the differences
+    is read from a full SVD with the rank rule of scipy.linalg.null_space:
+    singular values above max(s) * eps * max(rows, cols) count toward the rank.
     """
     mat = prior_set.matrix()
     diffs = mat[1:] - mat[0]
     if diffs.shape[0] == 0:
         return np.eye(prior_set.n)
-    return scipy.linalg.null_space(diffs)
+    _, s, vh = np.linalg.svd(diffs, full_matrices=True)
+    tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(diffs.shape)
+    return vh[np.count_nonzero(s > tol) :].T
 
 
 def mean_uncertainty_space_audit(prior_set: PriorSet, trials: int, seed: int) -> AuditReport:

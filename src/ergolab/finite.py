@@ -5,7 +5,11 @@ priors.  The upper expectation is the support function of the prior hull and
 the pushforward theta_* is linear, so the map preserves the upper expectation
 iff theta_* maps the hull onto itself, that is iff theta_* permutes the
 hull's vertices.  The vertices of a prior set are found once and cached; a
-decision is then a comparison of two small vertex arrays.
+decision is then a comparison of two small vertex arrays.  A generator that
+one coordinate separates from the other generators by more than HULL_TOL is
+a vertex by that coordinate alone (the hull of the others lies between their
+coordinate-wise min and max), so only the generators this proof cannot
+settle cost a hull-distance LP, and scipy is imported only for such an LP.
 
 Everything that depends only on the system is settled once per system and
 kept in one bounded cache: the preservation verdict, the prior matrix and,
@@ -35,7 +39,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .credal import (
     TOL_DERIVED,
@@ -192,7 +195,10 @@ def hull_distance(points: np.ndarray, q: np.ndarray) -> float:
     """L-infinity distance from q to the convex hull of the given points.
 
     Solved as the LP  min t  s.t.  |P^T lam - q| <= t,  sum lam = 1,  lam >= 0.
+    scipy is imported here, so it is loaded only when an LP is solved.
     """
+    from scipy.optimize import linprog
+
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     q = np.asarray(q, dtype=float)
     m, n = pts.shape
@@ -215,8 +221,13 @@ def hull_vertices(priors: PriorSet) -> np.ndarray:
     Exact duplicate rows are dropped.  Each remaining generator is then tested,
     in order, against the generators still kept and dropped if it lies within
     HULL_TOL of their hull, so of two near-duplicates one representative
-    stays.  Against a single kept generator the distance is an L-infinity
-    norm; only sets of three or more generators need hull-distance LPs.
+    stays.  A generator g is kept without an LP when one coordinate separates
+    it from the others o by more than HULL_TOL, g_j - max_o o_j > HULL_TOL or
+    min_o o_j - g_j > HULL_TOL: every point q of their hull has
+    min_o o_j <= q_j <= max_o o_j, so ||g - q||_inf > HULL_TOL.  Against a
+    single other generator no separated coordinate means an L-infinity
+    distance within HULL_TOL; only the generators of larger sets that this
+    proof cannot settle need hull-distance LPs.
     """
     rows = priors.matrix()
     _, first = np.unique(rows, axis=0, return_index=True)
@@ -226,11 +237,10 @@ def hull_vertices(priors: PriorSet) -> np.ndarray:
         others = rows[[j for j in keep if j != i]]
         if len(others) == 0:
             continue
-        if len(others) == 1:
-            dist = float(np.max(np.abs(others[0] - rows[i])))
-        else:
-            dist = hull_distance(others, rows[i])
-        if dist <= HULL_TOL:
+        gap = np.maximum(rows[i] - others.max(axis=0), others.min(axis=0) - rows[i])
+        if np.any(gap > HULL_TOL):
+            continue  # separated by one coordinate: a vertex
+        if len(others) == 1 or hull_distance(others, rows[i]) <= HULL_TOL:
             keep.remove(i)
     vertices = rows[keep]
     vertices.flags.writeable = False

@@ -57,6 +57,8 @@ class GridFn:
         v = np.array(values, dtype=float)
         if v.shape != (grid.m,):
             raise InputError(f"expected {grid.m} values, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise InputError(f"non-finite value at node {int(np.argmin(np.isfinite(v)))}")
         v.flags.writeable = False
         self.grid = grid
         self._values = v
@@ -266,5 +268,8 @@ def read_csv(path: str) -> GridFn:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != ["x", "u"]:
         raise InputError("expected CSV with header 'x,u'")
-    vals = [float(r[1]) for r in rows[1:]]
+    try:
+        vals = [float(r[1]) for r in rows[1:]]
+    except (IndexError, ValueError) as exc:
+        raise InputError(f"bad value in CSV column 'u': {exc}") from None
     return GridFn(CircleGrid(len(vals)), vals)

@@ -202,8 +202,9 @@ class TestGheatCli:
             ["gheat", "solve", "--t", "1", "--tol", "1e-3"],
             ["gheat", "steady", "--tol", "1e-3"],
             ["gheat", "xcheck", "--phi", "quad"],
+            ["mc-slln", "--cfl", "0.3"],
         ],
-        ids=["solve-tol", "steady-tol", "xcheck-phi"],
+        ids=["solve-tol", "steady-tol", "xcheck-phi", "mc-slln-cfl"],
     )
     def test_unread_option_exit_2(self, argv):
         # the subcommand never reads the option, so argparse rejects it
@@ -242,7 +243,7 @@ class TestMcSllnCli:
 
     def test_shared_options_keep_their_defaults(self):
         args = _build_parser().parse_args(["mc-slln"])
-        expect = {"phi": "cos", "grid": 256, "cfl": 0.8, "sigma_lo2": 0.25, "sigma_hi2": 1.0,
+        expect = {"phi": "cos", "grid": 256, "sigma_lo2": 0.25, "sigma_hi2": 1.0,
                   "tol": 0.05, "out": None}
         assert {k: getattr(args, k) for k in expect} == expect
 

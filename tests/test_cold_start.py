@@ -1,0 +1,51 @@
+"""Cold start: importing ergolab and running the LP-free routes loads no scipy.
+
+Every CLI command runs in a fresh interpreter, so an import at module level
+is paid on every run.  scipy is needed only for a hull-distance LP, and
+must be imported inside the function that solves it.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = {}
+import ergolab
+seen["import"] = scipy_modules()
+from ergolab import cli, finite
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["gheat-solve-code"] = cli.main(["gheat", "solve", "--t", "0.01"])
+    seen["gheat-solve"] = scipy_modules()
+    seen["lab-enumerate-code"] = cli.main(["lab-enumerate", "--n", "4"])
+    seen["lab-enumerate"] = scipy_modules()
+import numpy as np
+finite.hull_distance(np.eye(4)[:3], np.eye(4)[3])
+seen["hull-distance"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loads_only_for_an_lp():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT], capture_output=True, text=True, env=env, timeout=300, check=True
+    )
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["gheat-solve-code"] == 0
+    assert seen["lab-enumerate-code"] == 0
+    assert seen["import"] == []
+    assert seen["gheat-solve"] == []
+    assert seen["lab-enumerate"] == []
+    # the guard is not vacuous: the LP route does load scipy
+    assert "scipy.optimize" in seen["hull-distance"]

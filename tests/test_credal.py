@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergolab import credal
 from ergolab.credal import (
     AuditReport,
     EventSet,
@@ -18,6 +20,7 @@ from ergolab.credal import (
     mean_uncertainty_space_audit,
     upper_exp,
 )
+from ergolab.finite import prior_catalog
 
 VERTEX2 = PriorSet(((1.0, 0.0), (0.0, 1.0)))
 SINGLE_HALF = PriorSet(((0.5, 0.5),))
@@ -204,3 +207,49 @@ class TestAudits:
         x = Rv((0.4, -1.2))
         zero = Rv(tuple(np.asarray(x.values) - np.asarray(x.values)))
         assert has_no_mean_uncertainty(VERTEX2, zero)
+
+
+def ref_certainty_basis(prior_set: PriorSet) -> np.ndarray:
+    """The scipy route the numpy SVD replaced, copied verbatim."""
+    mat = prior_set.matrix()
+    diffs = mat[1:] - mat[0]
+    if diffs.shape[0] == 0:
+        return np.eye(prior_set.n)
+    return scipy.linalg.null_space(diffs)
+
+
+def certainty_test_sets():
+    """Every catalog entry for n <= 6, seeded random sets and rank-deficient sets."""
+    for n in range(1, 7):
+        yield from prior_catalog(n)
+    rng = np.random.default_rng(20174)
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        raw = rng.uniform(0.0, 1.0, (int(rng.integers(1, 7)), n)) + 1e-3
+        yield PriorSet(tuple(map(tuple, raw / raw.sum(axis=1, keepdims=True))))
+    a, b = np.array([0.5, 0.3, 0.1, 0.1]), np.array([0.1, 0.2, 0.3, 0.4])
+    # a duplicate row and two rows on the segment [a, b]: the differences have rank 1
+    yield PriorSet(tuple(map(tuple, (a, a, b, 0.5 * a + 0.5 * b, 0.25 * a + 0.75 * b))))
+
+
+class TestCertaintyBasisDifferential:
+    """The numpy null space spans the same subspace as scipy.linalg.null_space."""
+
+    def test_same_subspace(self):
+        sets = 0
+        for priors in certainty_test_sets():
+            q, ref = credal._certainty_basis(priors), ref_certainty_basis(priors)
+            assert q.shape == ref.shape, priors
+            assert np.max(np.abs(q @ q.T - ref @ ref.T), initial=0.0) <= 1e-12, priors
+            sets += 1
+        assert sets == 251
+
+    def test_rank_deficient_set_keeps_its_certain_payoffs(self):
+        *_, priors = certainty_test_sets()
+        assert credal._certainty_basis(priors).shape == (4, 3)
+
+    def test_audit_reports_unchanged(self, monkeypatch):
+        sets = list(certainty_test_sets())
+        new = [mean_uncertainty_space_audit(priors, trials=20, seed=7) for priors in sets]
+        monkeypatch.setattr(credal, "_certainty_basis", ref_certainty_basis)
+        assert new == [mean_uncertainty_space_audit(priors, trials=20, seed=7) for priors in sets]

@@ -82,6 +82,19 @@ class TestPushforward:
         assert abs(sum(out.weights) - 1.0) <= 1e-12
 
 
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """The point counts of every hull-distance LP the finite engine solves."""
+    calls = []
+
+    def counting(points, q):
+        calls.append(len(points))
+        return hull_distance(points, q)
+
+    monkeypatch.setattr(finite, "hull_distance", counting)
+    return calls
+
+
 class TestExpectationPreserving:
     def test_swap_uniform(self):
         assert is_expectation_preserving(FiniteSystem(2, PriorSet(((0.5, 0.5),)), FiniteMap((1, 0))))
@@ -148,23 +161,16 @@ class TestExpectationPreserving:
         maxsize = hull_vertices.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
 
-    def test_sweep_finds_vertices_with_seven_lps(self, monkeypatch):
-        # only the n = 3 and n = 4 vertex-set entries have three or more
-        # generators; their 3 + 4 generators are each tested once
-        calls = []
-
-        def counting(points, q):
-            calls.append(len(points))
-            return hull_distance(points, q)
-
+    def test_sweep_finds_vertices_with_no_lp(self, lp_calls):
+        # the n = 3 and n = 4 vertex-set entries are standard bases: each
+        # generator is separated from the others by one coordinate
         hull_vertices.cache_clear()
-        monkeypatch.setattr(finite, "hull_distance", counting)
         for n in (1, 2, 3, 4):
             catalog = prior_catalog(n)
             for theta in all_maps(n):
                 for priors in catalog:
                     is_expectation_preserving(FiniteSystem(n, priors, theta))
-        assert len(calls) == 7
+        assert len(lp_calls) == 0
 
 
 def two_sided_lp_reference(sys):
@@ -247,6 +253,50 @@ class TestVertexPermutationDifferential:
             assert verdict is two_sided_lp_reference(sys_), theta
             accepts += verdict
         assert accepts == 6  # exactly the permutations
+
+
+# The LP-only vertex route the coordinate-separation proof now short-cuts,
+# copied verbatim except for the ref_ prefix and the missing cache.
+
+
+def ref_hull_vertices(priors: PriorSet) -> np.ndarray:
+    rows = priors.matrix()
+    _, first = np.unique(rows, axis=0, return_index=True)
+    rows = rows[np.sort(first)]
+    keep = list(range(len(rows)))
+    for i in range(len(rows)):
+        others = rows[[j for j in keep if j != i]]
+        if len(others) == 0:
+            continue
+        if len(others) == 1:
+            dist = float(np.max(np.abs(others[0] - rows[i])))
+        else:
+            dist = hull_distance(others, rows[i])
+        if dist <= HULL_TOL:
+            keep.remove(i)
+    vertices = rows[keep]
+    vertices.flags.writeable = False
+    return vertices
+
+
+class TestHullVerticesDifferential:
+    """The separation proof keeps exactly the vertices the LP-only route keeps."""
+
+    def test_every_catalog_entry_n_le_6(self):
+        entries = 0
+        for n in range(1, 7):
+            for priors in prior_catalog(n):
+                assert np.array_equal(hull_vertices(priors), ref_hull_vertices(priors)), priors
+                entries += 1
+        assert entries == 50
+
+    def test_random_prior_sets(self, lp_calls):
+        rng = np.random.default_rng(20173)
+        for _ in range(1000):
+            priors = random_pair(rng).priors
+            assert np.array_equal(hull_vertices(priors), ref_hull_vertices(priors)), priors
+        # interior generators still need an LP, so the proof cannot be vacuous
+        assert 0 < len(lp_calls)
 
 
 def _two_point_priors():

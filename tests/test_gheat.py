@@ -46,6 +46,13 @@ class TestTypes:
         with pytest.raises(InputError):
             GridFn(GRID, np.zeros(7))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_gridfn_non_finite_value_rejected(self, bad):
+        values = np.zeros(GRID.m)
+        values[3] = bad
+        with pytest.raises(InputError, match="non-finite value"):
+            GridFn(GRID, values)
+
     def test_gridfn_immutable(self):
         u = cos_fn(GRID)
         with pytest.raises(ValueError):
@@ -364,5 +371,12 @@ class TestCsv:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n0,1\n")
+        with pytest.raises(InputError):
+            read_csv(str(path))
+
+    @pytest.mark.parametrize("cell", [",nan", ",inf", ",-inf", ",abc", ""], ids=["nan", "inf", "-inf", "abc", "missing"])
+    def test_bad_value_rejected(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,u\n" + "".join(f"{k}{cell}\n" for k in range(16)))
         with pytest.raises(InputError):
             read_csv(str(path))
