@@ -55,6 +55,8 @@ def _parse_phi(spec: str, grid: gheat.CircleGrid) -> gheat.GridFn:
             a, b = (float(s) for s in spec.split(":", 1)[1].split(","))
         except ValueError as exc:
             raise InputError(f"bad indicator spec {spec!r}") from exc
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise InputError(f"indicator arc ends must be finite; got {spec!r}")
         return gheat.indicator_fn(grid, a, b)
     if spec.startswith("random:"):
         try:
@@ -76,9 +78,22 @@ def _parse_seeds(text: str | None) -> list[int]:
     if text is None:
         return list(DEFAULT_SEEDS)
     try:
-        return [int(s) for s in text.split(",") if s.strip()]
+        seeds = [int(s) for s in text.split(",") if s.strip()]
     except ValueError as exc:
         raise InputError(f"bad seed list {text!r}") from exc
+    if any(s < 0 for s in seeds):
+        raise InputError(f"seeds must be >= 0; got {text!r}")
+    return seeds
+
+
+#: --policies grammar kind[:field...]: each kind's factory and its optional
+#: positional fields; a field left out takes the factory's default
+_POLICY_FIELDS = {
+    "constant": (scenario.constant_policy, (("sigma", float),)),
+    "random-switching": (scenario.random_switching_policy, (("rate", float), ("seed", int))),
+    "threshold-feedback": (scenario.threshold_policy, (("level", float),)),
+    "greedy-bang-bang": (scenario.greedy_policy, ()),
+}
 
 
 def _parse_policies(text: str | None, params: gheat.GHeatParams) -> list[scenario.VolPolicy]:
@@ -89,22 +104,15 @@ def _parse_policies(text: str | None, params: gheat.GHeatParams) -> list[scenari
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split(":")
-        kind = parts[0]
-        if kind == "constant":
-            sigma = float(parts[1]) if len(parts) > 1 else math.sqrt(params.sigma_hi2)
-            out.append(scenario.constant_policy(params, sigma))
-        elif kind == "random-switching":
-            rate = float(parts[1]) if len(parts) > 1 else 1.0
-            seed = int(parts[2]) if len(parts) > 2 else 0
-            out.append(scenario.random_switching_policy(params, rate, seed))
-        elif kind == "threshold-feedback":
-            level = float(parts[1]) if len(parts) > 1 else 0.0
-            out.append(scenario.threshold_policy(params, level))
-        elif kind == "greedy-bang-bang":
-            out.append(scenario.greedy_policy(params))
-        else:
+        kind, *values = chunk.split(":")
+        if kind not in _POLICY_FIELDS:
             raise InputError(f"unknown policy {chunk!r}")
+        factory, fields = _POLICY_FIELDS[kind]
+        try:
+            kwargs = {name: parse(v) for (name, parse), v in zip(fields, values)}
+        except ValueError as exc:
+            raise InputError(f"bad policy {chunk!r}: {exc}") from exc
+        out.append(factory(params, **kwargs))
     if not out:
         raise InputError("empty policy list")
     return out
@@ -119,8 +127,11 @@ def _load_system(path: str) -> tuple[finite.FiniteSystem, dict]:
     if not isinstance(raw, dict):
         raise InputError("system spec must be a JSON object")
     try:
-        n = int(raw["n"])
-        theta = finite.FiniteMap(tuple(int(i) for i in raw["theta"]))
+        n, image = raw["n"], tuple(raw["theta"])
+        # int() would truncate 1.7 and read true as 1
+        if any(isinstance(i, bool) or not isinstance(i, int) for i in (n, *image)):
+            raise InputError(f"n and theta entries must be integers; got n={n!r}, theta={list(image)!r}")
+        theta = finite.FiniteMap(image)
         priors = PriorSet(tuple(ProbVector(tuple(float(w) for w in p)) for p in raw["priors"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed system spec: {exc}") from exc
@@ -154,7 +165,7 @@ def _config_block(args, extra: dict | None = None) -> dict:
 
 
 def cmd_lab_audit(args) -> int:
-    _require_counts(args, "payoffs", "trials")
+    _require_counts(args, "payoffs", "trials", "seed")
     sys_, raw = _load_system(args.spec)
     if not finite.is_expectation_preserving(sys_):
         raise InputError("system map does not preserve the upper expectation")
@@ -203,7 +214,7 @@ def cmd_lab_audit(args) -> int:
 
 
 def cmd_lab_enumerate(args) -> int:
-    _require_counts(args, "payoffs")
+    _require_counts(args, "payoffs", "seed")
     if args.n > 4:
         raise InputError("exhaustive mode is limited to n <= 4")
     rng = np.random.default_rng(args.seed)
@@ -401,9 +412,7 @@ def cmd_mc_slln(args) -> int:
         def visits_arc(path):
             return bool(np.any((path.positions >= a) & (path.positions < b)))
 
-        upper, lower = scenario.capacity_estimate(
-            visits_arc, policies, horizon, args.dt, seeds, x0=math.pi
-        )
+        upper, lower = scenario.capacity_estimate(visits_arc, policies, horizon, args.dt, seeds)
         capacity_block = {
             "event": f"path visits [{a}, {b}) before t={horizon}",
             "upper": upper,
@@ -413,7 +422,7 @@ def cmd_mc_slln(args) -> int:
         os.makedirs(args.dump_paths, exist_ok=True)
         for k, policy in enumerate(policies):
             for seed in seeds:
-                path = scenario.simulate_path(policy, 0.0, min(10.0, args.t), args.dt, seed)
+                path = scenario.simulate_path(policy, scenario.SLLN_X0, min(10.0, args.t), args.dt, seed)
                 fname = f"{args.dump_paths}/path_p{k}_s{seed}.csv"
                 with open(fname, "w") as fh:
                     fh.write("t,x\n")

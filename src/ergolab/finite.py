@@ -57,6 +57,10 @@ HULL_TOL = 1e-10
 #: subset-enumeration guard for the exhaustive audits
 MAX_ENUM_BITS = 20
 
+#: count and seed of fixed_space_audit's random class-constant payoffs
+FIXED_SPACE_PAYOFFS = 5
+FIXED_SPACE_SEED = 0
+
 
 @dataclass(frozen=True)
 class FiniteMap:
@@ -368,13 +372,13 @@ def _constant_quasi_surely(matrix: np.ndarray, values: np.ndarray) -> bool:
     return False
 
 
-def fixed_space_audit(sys: FiniteSystem, random_payoffs: int = 5, seed: int = 0) -> FixedSpaceReport:
+def fixed_space_audit(sys: FiniteSystem) -> FixedSpaceReport:
     """Compare simplicity of the fixed space of f -> f o theta with ergodicity.
 
     The fixed space {f : f o theta = f} is spanned by the grand-orbit class
     indicators.  Simplicity (every fixed f constant quasi-surely) is decided
-    on the 0/1 labelings of classes and double-checked on seeded random
-    class-constant payoffs.
+    on the 0/1 labelings of classes and double-checked on FIXED_SPACE_PAYOFFS
+    random class-constant payoffs drawn with FIXED_SPACE_SEED.
     """
     facts = _require_preserving(sys)
     part = grand_orbits(sys.theta)
@@ -384,8 +388,8 @@ def fixed_space_audit(sys: FiniteSystem, random_payoffs: int = 5, seed: int = 0)
         _constant_quasi_surely(facts.matrix, inside.astype(float)) for inside in _invariant_masks(sys)
     )
     if simple:
-        rng = np.random.default_rng(seed)
-        for _ in range(random_payoffs):
+        rng = np.random.default_rng(FIXED_SPACE_SEED)
+        for _ in range(FIXED_SPACE_PAYOFFS):
             labels = rng.uniform(-1.0, 1.0, k)
             if not _constant_quasi_surely(facts.matrix, labels[class_of]):
                 simple = False

@@ -14,8 +14,9 @@ in [sigma_lo, sigma_hi].  This module provides the two sides of that picture:
   of shrinking indicators runs on this oracle.
 
 State-dependent policies genuinely matter here: a policy with squared
-volatility s(x) has stationary density proportional to 1/s(x), so feedback
-scenarios tilt the long-run occupation of the circle and their time averages
+volatility s(x) has stationary density proportional to 1/s(x), so the
+feedback scenarios (high volatility where cos(x), or -cos(x), exceeds a
+level) tilt the long-run occupation of the circle and their time averages
 converge to policy-dependent limits.
 """
 
@@ -27,12 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .credal import InputError
-from .gheat import CircleGrid, GHeatParams, GridFn, indicator_fn, second_diff
+from .gheat import CircleGrid, GHeatParams, GridFn, indicator_fn
 from .wrapped import WrappedKernelSpec, kernel_row, regularity_bound, wrapped_gauss
 
 TWO_PI = 2.0 * math.pi
 
 POLICY_KINDS = ("constant", "random-switching", "threshold-feedback", "greedy-bang-bang")
+
+#: start of every slln_experiment path, and of every capacity_estimate path
+#: (opposite the CLI's default event arc at 0)
+SLLN_X0 = 0.0
+CAPACITY_X0 = math.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,9 +47,9 @@ class VolPolicy:
 
     kind selects the rule: a constant volatility, exogenous random switching
     between the endpoints at a given rate, threshold feedback (high volatility
-    where the observable exceeds the level), or greedy bang-bang (high
-    volatility where the observable has positive curvature, the instantaneous
-    ascent direction for its expectation).
+    where cos(x) exceeds the level), or greedy bang-bang (high volatility
+    where cos has positive curvature, that is where cos(x) < 0, the
+    instantaneous ascent direction for its expectation).
     """
 
     kind: str
@@ -53,7 +59,6 @@ class VolPolicy:
     rate: float = 1.0
     switch_seed: int = 0
     level: float = 0.0
-    observable: GridFn | None = None
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
@@ -67,6 +72,10 @@ class VolPolicy:
                 raise InputError("constant sigma outside the admissible band")
         if self.kind == "random-switching" and self.rate <= 0:
             raise InputError("switching rate must be > 0")
+        if not (math.isfinite(self.rate) and math.isfinite(self.level)):
+            raise InputError(f"rate and level must be finite; got rate={self.rate}, level={self.level}")
+        if self.switch_seed < 0:
+            raise InputError(f"switching seed must be >= 0; got {self.switch_seed}")
 
     @property
     def label(self) -> str:
@@ -83,33 +92,30 @@ def _band(p: GHeatParams) -> tuple[float, float]:
     return math.sqrt(p.sigma_lo2), math.sqrt(p.sigma_hi2)
 
 
-def constant_policy(p: GHeatParams, sigma: float) -> VolPolicy:
+def constant_policy(p: GHeatParams, sigma: float | None = None) -> VolPolicy:
     lo, hi = _band(p)
-    return VolPolicy("constant", lo, hi, sigma=sigma)
+    return VolPolicy("constant", lo, hi, sigma=hi if sigma is None else sigma)
 
 
 def random_switching_policy(p: GHeatParams, rate: float = 1.0, seed: int = 0) -> VolPolicy:
-    lo, hi = _band(p)
-    return VolPolicy("random-switching", lo, hi, rate=rate, switch_seed=seed)
+    return VolPolicy("random-switching", *_band(p), rate=rate, switch_seed=seed)
 
 
-def threshold_policy(p: GHeatParams, level: float = 0.0, observable: GridFn | None = None) -> VolPolicy:
-    lo, hi = _band(p)
-    return VolPolicy("threshold-feedback", lo, hi, level=level, observable=observable)
+def threshold_policy(p: GHeatParams, level: float = 0.0) -> VolPolicy:
+    return VolPolicy("threshold-feedback", *_band(p), level=level)
 
 
-def greedy_policy(p: GHeatParams, observable: GridFn | None = None) -> VolPolicy:
-    lo, hi = _band(p)
-    return VolPolicy("greedy-bang-bang", lo, hi, observable=observable)
+def greedy_policy(p: GHeatParams) -> VolPolicy:
+    return VolPolicy("greedy-bang-bang", *_band(p))
 
 
 def default_policy_suite(p: GHeatParams) -> list[VolPolicy]:
     """One policy per kind: constant high vol, unit-rate switching, and the
     two cosine-feedback rules."""
     return [
-        constant_policy(p, math.sqrt(p.sigma_hi2)),
-        random_switching_policy(p, rate=1.0, seed=0),
-        threshold_policy(p, level=0.0),
+        constant_policy(p),
+        random_switching_policy(p),
+        threshold_policy(p),
         greedy_policy(p),
     ]
 
@@ -164,6 +170,8 @@ def simulate_path(policy: VolPolicy, x0: float, horizon: float, dt: float, seed:
         raise InputError("dt must be > 0")
     if horizon < 0:
         raise InputError("horizon must be >= 0")
+    if not (math.isfinite(dt) and math.isfinite(horizon)):
+        raise InputError(f"dt and horizon must be finite; got dt={dt}, horizon={horizon}")
     n_steps = int(round(horizon / dt))
     x0 = float(np.mod(x0, TWO_PI))
     if n_steps == 0:
@@ -181,36 +189,15 @@ def simulate_path(policy: VolPolicy, x0: float, horizon: float, dt: float, seed:
         pos = np.mod(x0 + np.concatenate([[0.0], np.cumsum(increments)]), TWO_PI)
         return PathSample(dt, pos, seed)
 
-    # feedback policies: the volatility reads the current state
+    # feedback: high volatility where sign * cos(x) > level on the current
+    # state; greedy's cos(x) < 0 is where cos has positive curvature
+    sign, level = (1.0, policy.level) if policy.kind == "threshold-feedback" else (-1.0, 0.0)
     lo, hi = policy.sigma_lo, policy.sigma_hi
-    noise_list = noise.tolist()
     out = np.empty(n_steps + 1)
     x = x0
     out[0] = x
-    if policy.observable is None:
-        # cosine observable evaluated in closed form
-        level = policy.level
-        if policy.kind == "threshold-feedback":
-            for k, z in enumerate(noise_list):
-                s = hi if math.cos(x) > level else lo
-                x = (x + s * sq * z) % TWO_PI
-                out[k + 1] = x
-        else:  # greedy: high volatility where curvature of cos is positive
-            for k, z in enumerate(noise_list):
-                s = hi if math.cos(x) < 0.0 else lo
-                x = (x + s * sq * z) % TWO_PI
-                out[k + 1] = x
-        return PathSample(dt, out, seed)
-
-    obs = policy.observable
-    m = obs.grid.m
-    scale = m / TWO_PI
-    if policy.kind == "threshold-feedback":
-        table = (obs.values > policy.level).tolist()
-    else:
-        table = (second_diff(obs).values > 0.0).tolist()
-    for k, z in enumerate(noise_list):
-        s = hi if table[int(x * scale + 0.5) % m] else lo
+    for k, z in enumerate(noise.tolist()):
+        s = hi if sign * math.cos(x) > level else lo
         x = (x + s * sq * z) % TWO_PI
         out[k + 1] = x
     return PathSample(dt, out, seed)
@@ -263,7 +250,6 @@ def slln_experiment(
     seeds: list[int],
     dt: float = 0.01,
     tol: float = 0.05,
-    x0: float = 0.0,
 ) -> McSllnReport:
     """Time averages of phi under every (policy, seed) scenario vs mean(phi).
 
@@ -275,7 +261,7 @@ def slln_experiment(
     entries = []
     for policy in policies:
         for seed in seeds:
-            path = simulate_path(policy, x0, horizon, dt, seed)
+            path = simulate_path(policy, SLLN_X0, horizon, dt, seed)
             avg = time_average(path, phi)
             entries.append(McSllnEntry(policy.label, seed, avg, abs(avg - target)))
     return McSllnReport(target=target, tol=tol, horizon=horizon, dt=dt, entries=tuple(entries))
@@ -400,7 +386,6 @@ def capacity_estimate(
     horizon: float,
     dt: float,
     seeds: list[int],
-    x0: float = 0.0,
 ) -> tuple[float, float]:
     """Empirical (max, min) frequency of a path event across the policy family.
 
@@ -411,6 +396,6 @@ def capacity_estimate(
         raise InputError("need at least one policy and one seed")
     freqs = []
     for policy in policies:
-        hits = sum(bool(event(simulate_path(policy, x0, horizon, dt, seed))) for seed in seeds)
+        hits = sum(bool(event(simulate_path(policy, CAPACITY_X0, horizon, dt, seed))) for seed in seeds)
         freqs.append(hits / len(seeds))
     return max(freqs), min(freqs)

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from ergolab.cli import _build_parser, main
+from ergolab.cli import _build_parser, _parse_policies, main
+from ergolab.gheat import GHeatParams
+from ergolab.scenario import default_policy_suite
 
 
 def run(args):
@@ -63,6 +65,19 @@ class TestLabAudit:
         out = tmp_path / "report.json"
         assert run(["lab-audit", "--spec", spec, option, "-1", "--out", str(out)]) == 2
         assert f"{option} must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "n, theta",
+        [(2, [1.7, 0]), (2, [True, 0]), (2, ["1", 0]), (2.0, [1, 0]), (True, [0])],
+        ids=["float-entry", "bool-entry", "string-entry", "float-n", "bool-n"],
+    )
+    def test_non_integer_map_exit_2(self, tmp_path, capsys, n, theta):
+        # int() would truncate 1.7 to 1 and read true as 1 while the report echoes the raw spec
+        spec = write_spec(tmp_path, {"n": n, "theta": theta, "priors": [[0.5, 0.5]]})
+        out = tmp_path / "report.json"
+        assert run(["lab-audit", "--spec", spec, "--out", str(out)]) == 2
+        assert "n and theta entries must be integers" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_trials_reports_null(self, tmp_path):
@@ -211,6 +226,61 @@ class TestGheatCli:
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gheat", "solve", "--t", "nan"],
+            ["gheat", "solve", "--t", "inf"],
+            ["gheat", "steady", "--t", "nan"],
+            ["gheat", "converge", "--times", "1,nan"],
+            ["gheat", "invariant", "--deltas", "inf"],
+            ["gheat", "xcheck", "--case", "nonlinear", "--t", "nan"],
+            ["mc-slln", "--t", "nan"],
+            ["mc-slln", "--dt", "nan"],
+            ["gheat", "solve", "--phi", "indicator:nan,1", "--t", "0.01"],
+        ],
+        ids=["solve-t-nan", "solve-t-inf", "steady-t-nan", "converge-times-nan", "invariant-deltas-inf",
+             "xcheck-t-nan", "mc-slln-t-nan", "mc-slln-dt-nan", "indicator-nan"],
+    )
+    def test_non_finite_time_or_arc_exit_2(self, capsys, argv):
+        assert run(argv) == 2
+        assert "input error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lab-enumerate", "--n", "2", "--seed", "-1"],
+            ["mc-slln", "--seeds", "-5"],
+            ["gheat", "solve", "--phi", "random:-3", "--t", "0.01"],
+            ["mc-slln", "--policies", "random-switching:1:-2"],
+        ],
+        ids=["lab-enumerate", "mc-slln-seeds", "random-phi", "switching-seed"],
+    )
+    def test_negative_seed_exit_2(self, capsys, argv):
+        assert run(argv) == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+    def test_lab_audit_negative_seed_exit_2(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, THREE_CYCLE)
+        assert run(["lab-audit", "--spec", spec, "--seed", "-1"]) == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "policies",
+        ["constant:abc", "random-switching:1:x", "random-switching:nan", "threshold-feedback:nan", "constant:"],
+    )
+    def test_malformed_policy_number_exit_2(self, capsys, policies):
+        # rejected while parsing, before the default 10^4-horizon experiment runs
+        assert run(["mc-slln", "--policies", policies]) == 2
+        assert "input error:" in capsys.readouterr().err
+
+    def test_policy_fields_take_factory_defaults(self):
+        params = GHeatParams(0.25, 1.0)
+        parsed = _parse_policies("constant,random-switching,threshold-feedback,greedy-bang-bang", params)
+        assert [p.label for p in parsed] == [p.label for p in default_policy_suite(params)]
 
 
 class TestMcSllnCli:

@@ -53,6 +53,10 @@ class TestTypes:
         with pytest.raises(InputError, match="non-finite value"):
             GridFn(GRID, values)
 
+    def test_random_fn_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="seed must be >= 0"):
+            random_fn(GRID, -3)
+
     def test_gridfn_immutable(self):
         u = cos_fn(GRID)
         with pytest.raises(ValueError):
@@ -135,6 +139,11 @@ class TestStep:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(InputError, match="t must be finite"):
+            solve(cos_fn(GRID), t, PARAMS)
+
     def test_zero_time_identity(self):
         u = solve(cos_fn(GRID), 0.0, PARAMS)
         assert np.array_equal(u.values, cos_fn(GRID).values)

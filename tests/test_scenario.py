@@ -54,6 +54,27 @@ class TestPolicies:
         with pytest.raises(InputError):
             VolPolicy("clairvoyant", 0.5, 1.0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_switching_policy(PARAMS, rate=math.nan),
+            lambda: random_switching_policy(PARAMS, rate=math.inf),
+            lambda: threshold_policy(PARAMS, math.nan),
+            lambda: threshold_policy(PARAMS, -math.inf),
+        ],
+        ids=["rate-nan", "rate-inf", "level-nan", "level-minus-inf"],
+    )
+    def test_non_finite_rate_or_level_rejected(self, make):
+        with pytest.raises(InputError, match="must be finite"):
+            make()
+
+    def test_negative_switching_seed_rejected(self):
+        with pytest.raises(InputError, match="seed must be >= 0"):
+            random_switching_policy(PARAMS, seed=-2)
+
+    def test_constant_defaults_to_high_volatility(self):
+        assert constant_policy(PARAMS).sigma == 1.0
+
     def test_default_suite_has_one_per_kind(self):
         kinds = [p.kind for p in default_policy_suite(PARAMS)]
         assert kinds == ["constant", "random-switching", "threshold-feedback", "greedy-bang-bang"]
@@ -63,6 +84,11 @@ class TestSimulatePath:
     def test_zero_horizon(self):
         path = simulate_path(constant_policy(PARAMS, 1.0), 0.7, 0.0, 0.01, 1)
         assert path.positions.tolist() == [0.7]
+
+    @pytest.mark.parametrize("horizon, dt", [(math.nan, 0.01), (math.inf, 0.01), (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_times_rejected(self, horizon, dt):
+        with pytest.raises(InputError, match="must be finite"):
+            simulate_path(constant_policy(PARAMS, 1.0), 0.0, horizon, dt, 1)
 
     def test_positions_stay_on_circle(self):
         for policy in default_policy_suite(PARAMS):
@@ -102,36 +128,50 @@ class TestSimulatePath:
         assert inc.max() > 0  # path actually moves
 
 
-def roll_observable_path(policy, x0, horizon, dt, seed):
-    """simulate_path's observable route as it stood with its own np.roll stencil."""
+def ref_feedback_path(policy, x0, horizon, dt, seed):
+    """simulate_path's two closed-form feedback loops as they stood before the merge."""
     n_steps = int(round(horizon / dt))
-    x = float(np.mod(x0, TWO_PI))
-    noise_list = np.random.default_rng(seed).standard_normal(n_steps).tolist()
+    x0 = float(np.mod(x0, TWO_PI))
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(n_steps)
     sq = math.sqrt(dt)
-    obs = policy.observable
-    m = obs.grid.m
-    scale = m / TWO_PI
-    if policy.kind == "threshold-feedback":
-        table = (obs.values > policy.level).tolist()
-    else:
-        curv = np.roll(obs.values, -1) - 2.0 * obs.values + np.roll(obs.values, 1)
-        table = (curv > 0.0).tolist()
+
+    lo, hi = policy.sigma_lo, policy.sigma_hi
+    noise_list = noise.tolist()
     out = np.empty(n_steps + 1)
+    x = x0
     out[0] = x
-    for k, z in enumerate(noise_list):
-        s = policy.sigma_hi if table[int(x * scale + 0.5) % m] else policy.sigma_lo
-        x = (x + s * sq * z) % TWO_PI
-        out[k + 1] = x
+    # cosine observable evaluated in closed form
+    level = policy.level
+    if policy.kind == "threshold-feedback":
+        for k, z in enumerate(noise_list):
+            s = hi if math.cos(x) > level else lo
+            x = (x + s * sq * z) % TWO_PI
+            out[k + 1] = x
+    else:  # greedy: high volatility where curvature of cos is positive
+        for k, z in enumerate(noise_list):
+            s = hi if math.cos(x) < 0.0 else lo
+            x = (x + s * sq * z) % TWO_PI
+            out[k + 1] = x
     return out
 
 
-class TestObservablePolicies:
-    @pytest.mark.parametrize("m", [8, 64, 256, 1024])
-    def test_random_observable_paths_match_roll_stencil_loop(self, m):
-        obs = random_fn(CircleGrid(m), 17 + m)
-        for policy in (threshold_policy(PARAMS, 0.2, obs), greedy_policy(PARAMS, obs)):
-            got = simulate_path(policy, 1.0, 50.0, 0.01, 5).positions
-            assert np.array_equal(got, roll_observable_path(policy, 1.0, 50.0, 0.01, 5)), policy.kind
+class TestFeedbackLoopDifferential:
+    @pytest.mark.parametrize("x0", [0.0, 1.0, math.pi])
+    @pytest.mark.parametrize("seed", [5, 11])
+    @pytest.mark.parametrize("level", [-0.5, 0.0, 0.3])
+    def test_threshold_matches_reference_loop(self, x0, seed, level):
+        policy = threshold_policy(PARAMS, level)
+        got = simulate_path(policy, x0, 60.0, 0.01, seed).positions
+        assert got.size == 6001
+        assert np.array_equal(got, ref_feedback_path(policy, x0, 60.0, 0.01, seed))
+
+    @pytest.mark.parametrize("x0", [0.0, 1.0, math.pi])
+    @pytest.mark.parametrize("seed", [5, 11])
+    def test_greedy_matches_reference_loop(self, x0, seed):
+        policy = greedy_policy(PARAMS)
+        got = simulate_path(policy, x0, 60.0, 0.01, seed).positions
+        assert np.array_equal(got, ref_feedback_path(policy, x0, 60.0, 0.01, seed))
 
 
 class TestTimeAverage:
@@ -274,6 +314,6 @@ class TestCapacityEstimate:
             return bool(np.any(path.positions <= 0.1))
 
         up, lo = capacity_estimate(
-            visits_small_arc, default_policy_suite(PARAMS), 10.0, 0.01, [1, 2, 3, 4], x0=np.pi
+            visits_small_arc, default_policy_suite(PARAMS), 10.0, 0.01, [1, 2, 3, 4]
         )
         assert 0.0 <= lo <= up <= 1.0
