@@ -4,10 +4,22 @@ The evolution is du/dt = H(u_xx) with H(d) = (hi2 * max(d,0) - lo2 * max(-d,0)) 
 high diffusivity acts on convex regions, low diffusivity on concave ones.
 The scheme is explicit Euler on the periodic three-point stencil; it is
 monotone under dt * hi2 / h^2 <= 1 and therefore obeys a discrete maximum
-principle and converges to the viscosity solution.  `solve` advances a bare
-array and wraps it in a GridFn once, at return; GridFn is the type at the
-API boundary only, and `second_diff`, `g_operator` and `step_explicit` are
-thin GridFn wrappers over the same array stencil.
+principle and converges to the viscosity solution.  `solve` and
+`step_explicit` run one in-place stepper: a buffer of M + 2 values holds the
+state with one ghost cell at each end, the ghost cells are written as scalars
+before each step, and every array operation of the step writes into the
+buffer or one of two work arrays, so a step allocates nothing.  The state is
+wrapped in a GridFn once, at return; GridFn is the type at the API boundary
+only, and `second_diff` and `g_operator` are thin GridFn wrappers over the
+same stencil and rate.
+
+The rate is computed as H(d) = max(a*d, b*d) + 0.0 with a = hi2/2 >= b =
+lo2/2 > 0.  This is the two-branch form a*max(d,0) - b*max(-d,0) to the
+last bit: rounding is monotone, so for d > 0 the maximum picks fl(a*d), and
+for d < 0 it picks fl(b*d) = -fl(b*|d|).  The "+ 0.0" makes every zero rate
++0.0, as the difference 0.0 - 0.0 does: the maximum alone gives -0.0 for
+d = -0.0 and wherever b*|d| underflows, and a step would then leave a node
+holding -0.0 at -0.0 where the two-branch form makes it +0.0.
 
 A structural fact worth keeping in mind when reading the audits: for
 hi2 > lo2 the flow does not preserve the spatial mean.  Integrating the
@@ -24,6 +36,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -116,16 +129,63 @@ class GHeatParams:
         return self.cfl * grid.h**2 / self.sigma_hi2
 
 
+def _second_diff_into(
+    right: np.ndarray, v: np.ndarray, left: np.ndarray, h2: float, out: np.ndarray
+) -> np.ndarray:
+    """The three-point stencil (right - 2 v + left) / h2, written into `out`."""
+    np.multiply(v, 2.0, out=out)
+    np.subtract(right, out, out=out)
+    np.add(out, left, out=out)
+    np.divide(out, h2, out=out)
+    return out
+
+
+def _rate_into(d: np.ndarray, a: float, b: float, out: np.ndarray) -> np.ndarray:
+    """The sign-split rate max(a*d, b*d) + 0.0, written into `out`; `d` is overwritten.
+
+    With a = hi2/2 and b = lo2/2 this equals a*max(d,0) - b*max(-d,0) bit for
+    bit (see the module docstring).
+    """
+    np.multiply(d, a, out=out)
+    np.multiply(d, b, out=d)
+    np.maximum(out, d, out=out)
+    np.add(out, 0.0, out=out)
+    return out
+
+
 def _second_diff(v: np.ndarray, h2: float) -> np.ndarray:
     """The periodic three-point stencil (v_{i+1} - 2 v_i + v_{i-1}) / h2 on a bare array."""
     w = np.concatenate((v[-1:], v, v[:1]))
-    return (w[2:] - 2.0 * v + w[:-2]) / h2
+    return _second_diff_into(w[2:], v, w[:-2], h2, np.empty_like(v))
 
 
 def _rate(v: np.ndarray, h2: float, p: GHeatParams) -> np.ndarray:
     """The sign-split rate H(v_xx): hi2/2 on positive curvature, lo2/2 on negative."""
     d = _second_diff(v, h2)
-    return 0.5 * p.sigma_hi2 * np.maximum(d, 0.0) - 0.5 * p.sigma_lo2 * np.maximum(-d, 0.0)
+    return _rate_into(d, 0.5 * p.sigma_hi2, 0.5 * p.sigma_lo2, np.empty_like(d))
+
+
+def _advance(values: np.ndarray, h2: float, p: GHeatParams, taus) -> np.ndarray:
+    """Explicit Euler steps of the sizes in the iterable `taus`, in place on one ghost-cell buffer.
+
+    Returns a view of the buffer; the caller wraps it in a GridFn, which copies.
+    """
+    m = values.size
+    w = np.empty(m + 2)
+    w[1:-1] = values
+    v, left, right = w[1:-1], w[:-2], w[2:]
+    d = np.empty(m)
+    r = np.empty(m)
+    a = 0.5 * p.sigma_hi2
+    b = 0.5 * p.sigma_lo2
+    for tau in taus:
+        w[0] = w[m]
+        w[m + 1] = w[1]
+        _second_diff_into(right, v, left, h2, d)
+        _rate_into(d, a, b, r)
+        np.multiply(r, tau, out=r)
+        np.add(v, r, out=v)
+    return v
 
 
 def second_diff(u: GridFn) -> GridFn:
@@ -142,31 +202,32 @@ def step_explicit(u: GridFn, p: GHeatParams, dt: float) -> GridFn:
     """One explicit Euler step; requires the monotonicity bound dt*hi2/h^2 <= 1."""
     if dt < 0:
         raise InputError("dt must be >= 0")
-    lam = dt * p.sigma_hi2 / u.grid.h**2
+    if not np.isfinite(dt):
+        raise InputError(f"dt must be finite; got {dt}")
+    h2 = u.grid.h**2
+    lam = dt * p.sigma_hi2 / h2
     if lam > 1.0 + 1e-12:
         raise ContractError(f"CFL violation: dt*sigma_hi2/h^2 = {lam:.6f} > 1")
-    return GridFn(u.grid, u.values + dt * _rate(u.values, u.grid.h**2, p))
+    return GridFn(u.grid, _advance(u.values, h2, p, (dt,)))
 
 
 def solve(phi: GridFn, t: float, p: GHeatParams) -> GridFn:
     """Evolve phi for time t; the last step is shortened to land exactly on t.
 
-    p.dt satisfies the monotonicity bound, so the steps skip step_explicit's check.
+    Runs the in-place ghost-cell stepper of the module docstring.  p.dt
+    satisfies the monotonicity bound, so the steps skip step_explicit's check.
+    The returned GridFn holds a copy and shares no memory with phi or with the
+    stepper's buffers.
     """
     if t < 0:
         raise InputError("t must be >= 0")
     if not np.isfinite(t):
         raise InputError(f"t must be finite; got {t}")
     dt = p.dt(phi.grid)
-    h2 = phi.grid.h**2
     n_full = int(np.floor(t / dt + 1e-9))
     rem = t - n_full * dt
-    v = phi.values
-    for _ in range(n_full):
-        v = v + dt * _rate(v, h2, p)
-    if rem > 1e-12:
-        v = v + rem * _rate(v, h2, p)
-    return GridFn(phi.grid, v)
+    taus = chain(repeat(dt, n_full), (rem,) if rem > 1e-12 else ())
+    return GridFn(phi.grid, _advance(phi.values, phi.grid.h**2, p, taus))
 
 
 def semigroup_check(phi: GridFn, s: float, t: float, p: GHeatParams) -> float:

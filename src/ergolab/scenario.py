@@ -256,7 +256,11 @@ def slln_experiment(
     Deviations beyond the tolerance are flagged, not hidden: feedback
     scenarios converge to occupation averages weighted by 1/sigma^2(x), which
     differ from the plain space mean whenever the policy is state-dependent.
+    A NaN tolerance would flag nothing and a negative one everything, so both
+    are rejected before any path is simulated.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InputError(f"tol must be finite and >= 0; got {tol}")
     target = float(np.mean(phi.values))
     entries = []
     for policy in policies:
@@ -280,8 +284,9 @@ def dp_upper_expectation(phi: GridFn, t: float, p: GHeatParams, n_steps: int) ->
     approximation of the nonlinear semigroup that shares nothing with the
     finite-difference scheme.  Each one-step kernel is an exact wrapped
     Gaussian and circulant, so it is held as its first column and applied
-    through that column's real FFT spectrum: each step is one forward and two
-    inverse FFTs.
+    through that column's real FFT spectrum.  The two spectra are stacked into
+    one (2, M//2 + 1) array, so each step is one forward rFFT and one batched
+    inverse rFFT that returns both candidates as the rows of a (2, M) array.
     """
     if n_steps < 1:
         raise InputError("n_steps must be >= 1")
@@ -300,11 +305,11 @@ def dp_upper_expectation(phi: GridFn, t: float, p: GHeatParams, n_steps: int) ->
                 "increase the step count or refine the grid"
             )
         spectra.append(np.fft.rfft(row))
-    spectrum_lo, spectrum_hi = spectra
+    spectra = np.stack(spectra)
     u = phi.values
     for _ in range(n_steps):
-        f = np.fft.rfft(u)
-        u = np.maximum(np.fft.irfft(f * spectrum_lo, n=m), np.fft.irfft(f * spectrum_hi, n=m))
+        lo, hi = np.fft.irfft(np.fft.rfft(u) * spectra, n=m)
+        u = np.maximum(lo, hi)
     return GridFn(phi.grid, u)
 
 

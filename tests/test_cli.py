@@ -320,6 +320,11 @@ class TestMcSllnCli:
     def test_bad_policy_exit_2(self):
         assert run(["mc-slln", "--policies", "oracle", "--t", "1"]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_tol_exit_2(self, tol):
+        # a NaN tolerance would flag nothing and -1 everything
+        assert run(["mc-slln", "--t", "10", "--seeds", "1", "--tol", tol]) == 2
+
     def test_empty_seeds_exit_2(self):
         assert run(["mc-slln", "--seeds", ","]) == 2
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ergolab import gheat
 from ergolab.credal import ContractError, InputError
 from ergolab.gheat import (
     CircleGrid,
@@ -119,6 +120,11 @@ class TestStep:
     def test_cfl_violation_raises(self):
         with pytest.raises(ContractError):
             step_explicit(cos_fn(GRID), PARAMS, 2.0 * GRID.h**2 / PARAMS.sigma_hi2)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(InputError, match="dt must be finite"):
+            step_explicit(cos_fn(GRID), PARAMS, dt)
 
     @given(grid_values())
     @settings(max_examples=80, deadline=None)
@@ -284,6 +290,61 @@ class TestArrayStepperDifferential:
         monkeypatch.setattr(GridFn, "__init__", counting_init)
         solve(phi, 1.0, PARAMS)
         assert built == [GRID.m]
+
+
+def signed_zero_data(g):
+    """Data whose zero rates must keep the two-branch form's sign bits."""
+    rng = np.random.default_rng(g.m)
+    subnormal = np.zeros(g.m)
+    subnormal[0] = -0.0
+    subnormal[1] = -5e-324  # for small lo2, b * d underflows to -0.0 at node 0, which holds -0.0
+    return {
+        "negative-zero": constant_fn(g, -0.0),
+        "mixed-zeros": GridFn(g, np.where(rng.random(g.m) < 0.5, -0.0, 0.0)),
+        "subnormal": GridFn(g, subnormal),
+        "tiny": GridFn(g, 1e-300 * np.sin(3.0 * g.nodes())),
+    }
+
+
+class TestStepperBytes:
+    """The in-place ghost-cell stepper reproduces the GridFn chain byte for byte, sign bits included."""
+
+    @pytest.mark.parametrize("m", [9, 65, 129])
+    def test_solve_bytes_match_gridfn_chain(self, m):
+        g = CircleGrid(m)
+        p = GHeatParams(1e-6, 1.0)
+        data = {**differential_data(g), **signed_zero_data(g)}
+        for name, phi in data.items():
+            for t in (0.37 * p.dt(g), 3.0):
+                got = solve(phi, t, p).values.tobytes()
+                assert got == chain_solve(phi, t, p).values.tobytes(), (name, t)
+
+    @pytest.mark.parametrize("m", [9, 64])
+    @pytest.mark.parametrize("band", [(1e-6, 1.0), (0.25, 1.0), (0.7, 0.7)])
+    def test_wrapper_bytes_match_gridfn_chain(self, m, band):
+        g = CircleGrid(m)
+        p = GHeatParams(*band)
+        for name, u in {**differential_data(g), **signed_zero_data(g)}.items():
+            assert g_operator(u, p).values.tobytes() == chain_g_operator(u, p).values.tobytes(), name
+            got = step_explicit(u, p, p.dt(g)).values.tobytes()
+            assert got == chain_step_explicit(u, p, p.dt(g)).values.tobytes(), name
+
+    def test_solve_result_shares_no_memory(self, monkeypatch):
+        phi = cos_fn(GRID)
+        states = []
+        advance = gheat._advance
+
+        def recording_advance(*args):
+            states.append(advance(*args))
+            return states[-1]
+
+        monkeypatch.setattr(gheat, "_advance", recording_advance)
+        out = solve(phi, 0.5, PARAMS).values
+        (state,) = states
+        assert state.base is not None and state.base.size == GRID.m + 2
+        assert not np.shares_memory(out, phi.values)
+        assert not np.shares_memory(out, state.base)
+        assert not out.flags.writeable
 
 
 class TestSemigroup:

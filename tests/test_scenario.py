@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ergolab.credal import InputError
-from ergolab.gheat import CircleGrid, GHeatParams, cos_fn, constant_fn, indicator_fn, quad_fn, random_fn, solve
+from ergolab.gheat import CircleGrid, GHeatParams, GridFn, cos_fn, constant_fn, indicator_fn, quad_fn, random_fn, solve
 from ergolab.scenario import (
     capacity_estimate,
     constant_policy,
@@ -18,7 +18,7 @@ from ergolab.scenario import (
     threshold_policy,
     time_average,
 )
-from ergolab.wrapped import WrappedKernelSpec, linear_semigroup, wrapped_gauss
+from ergolab.wrapped import WrappedKernelSpec, kernel_row, linear_semigroup, wrapped_gauss
 
 GRID = CircleGrid(256)
 PARAMS = GHeatParams(0.25, 1.0)
@@ -221,6 +221,11 @@ class TestSllnExperiment:
         rep = slln_experiment(cos_fn(GRID), policies, 1e4, [11, 23], dt=0.01, tol=0.05)
         assert rep.ok, rep.flagged
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(InputError, match="tol must be finite and >= 0"):
+            slln_experiment(cos_fn(GRID), default_policy_suite(PARAMS), 1e4, [11], tol=tol)
+
     def test_feedback_policies_are_flagged(self):
         policies = [threshold_policy(PARAMS, 0.0), greedy_policy(PARAMS)]
         rep = slln_experiment(cos_fn(GRID), policies, 2e3, [11], dt=0.01, tol=0.05)
@@ -268,6 +273,31 @@ class TestDpOracle:
     def test_step_count_validated(self):
         with pytest.raises(InputError):
             dp_upper_expectation(cos_fn(GRID), 1.0, PARAMS, 0)
+
+
+def two_irfft_recursion(phi, t, p, n_steps):
+    """The DP recursion as it stood before the batched inverse: one forward and two inverse rFFTs a step."""
+    m = phi.grid.m
+    spectrum_lo = np.fft.rfft(kernel_row(m, p.sigma_lo2, t / n_steps))
+    spectrum_hi = np.fft.rfft(kernel_row(m, p.sigma_hi2, t / n_steps))
+    u = phi.values
+    for _ in range(n_steps):
+        f = np.fft.rfft(u)
+        u = np.maximum(np.fft.irfft(f * spectrum_lo, n=m), np.fft.irfft(f * spectrum_hi, n=m))
+    return u
+
+
+class TestDpBatchedIrfftDifferential:
+    """One batched inverse rFFT per step reproduces the two-irfft recursion byte for byte."""
+
+    @pytest.mark.parametrize("m", [256, 512, 1024, 2048])
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_matches_two_irfft_recursion(self, m, n):
+        grid = CircleGrid(m)
+        data = {"random": random_fn(grid, 5), "rotated-cos": GridFn(grid, np.cos(grid.nodes() - 0.7))}
+        for name, phi in data.items():
+            got = dp_upper_expectation(phi, 1.0, PARAMS, n).values
+            assert got.tobytes() == two_irfft_recursion(phi, 1.0, PARAMS, n).tobytes(), name
 
 
 @lru_cache(maxsize=None)
