@@ -22,7 +22,6 @@ from .credal import (
 from .finite import (
     FiniteMap,
     FiniteSystem,
-    birkhoff_limit,
     fixed_space_audit,
     grand_orbits,
     invariant_sets,

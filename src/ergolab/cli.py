@@ -145,6 +145,12 @@ def _require_counts(args, *names: str) -> None:
             raise InputError(f"--{name} must be >= 0; got {value}")
 
 
+def _require_tol(args) -> None:
+    """No error is <= a NaN or negative --tol and every one is <= inf: reject all three before any solve."""
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        raise InputError(f"--tol must be finite and >= 0; got {args.tol}")
+
+
 def _gheat_params(args) -> gheat.GHeatParams:
     return gheat.GHeatParams(args.sigma_lo2, args.sigma_hi2, args.cfl)
 
@@ -269,6 +275,7 @@ def cmd_gheat_solve(args) -> int:
 
 
 def cmd_gheat_invariant(args) -> int:
+    _require_tol(args)
     grid = gheat.CircleGrid(args.grid)
     phi = _parse_phi(args.phi, grid)
     params = _gheat_params(args)
@@ -290,6 +297,7 @@ def cmd_gheat_invariant(args) -> int:
 
 
 def cmd_gheat_converge(args) -> int:
+    _require_tol(args)
     grid = gheat.CircleGrid(args.grid)
     phi = _parse_phi(args.phi, grid)
     times = _parse_floats(args.times)
@@ -324,6 +332,7 @@ def cmd_gheat_steady(args) -> int:
 
 
 def cmd_gheat_xcheck(args) -> int:
+    _require_tol(args)
     grid = gheat.CircleGrid(args.grid)
     cases = ("linear", "nonlinear", "convex") if args.case == "all" else (args.case,)
     results = {}

@@ -36,13 +36,16 @@ class ProbVector:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", tuple(float(x) for x in w))
+        # a nested or 0-d input raises numpy's TypeError here: float() of a row, or iterating a 0-d array
+        weights = tuple(w.tolist()) if w.ndim == 1 else tuple(float(x) for x in w)
+        object.__setattr__(self, "weights", weights)
         if w.ndim != 1 or w.size == 0:
             raise InputError("weights must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(w)):
-            raise InputError(f"non-finite weight in {self.weights}")
-        if np.any(w < -TOL_SIMPLEX):
-            raise InputError(f"negative weight in {self.weights}")
+        if not all(map(math.isfinite, weights)):
+            raise InputError(f"non-finite weight in {weights}")
+        if min(weights) < -TOL_SIMPLEX:
+            raise InputError(f"negative weight in {weights}")
+        # numpy's pairwise sum sets the accept/reject boundary
         s = float(w.sum())
         if abs(s - 1.0) > TOL_SIMPLEX:
             raise InputError(f"weights sum to {s}, expected 1 within {TOL_SIMPLEX}")
@@ -91,7 +94,7 @@ class Rv:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise InputError("values must be a nonempty 1-d sequence")
-        object.__setattr__(self, "values", tuple(float(x) for x in v))
+        object.__setattr__(self, "values", tuple(v.tolist()))
         if not all(map(math.isfinite, self.values)):
             raise InputError(f"non-finite value in {self.values}")
 

@@ -13,9 +13,16 @@ settle cost a hull-distance LP, and scipy is imported only for such an LP.
 
 Everything that depends only on the system is settled once per system and
 kept in one bounded cache: the preservation verdict, the prior matrix and,
-on first use, the ergodicity verdict.  Every upper capacity the audits need
-is read from that matrix as max(P @ 1_A) on a boolean mask, the same product
-that upper_exp forms on the event's indicator.
+on first use, the ergodicity verdict and the orbit arrays (the image, each
+point's cycle index, and the cycles grouped by length as (k_L, L) index
+arrays).  Every upper capacity the audits need is read from that matrix as
+max(P @ 1_A) on a boolean mask, the same product that upper_exp forms on the
+event's indicator.  A payoff's cycle means are then vals[members].sum(axis=1)
+/ L per length group, which is np.mean of each cycle bit for bit: numpy
+reduces each row of a C-ordered array by the same pairwise sum as a 1-d
+array.  The per-call paths stay in plain Python where numpy's fixed cost per
+call would exceed the work on a few entries: the cycle decomposition walks
+the image tuple, and probability vectors are validated on their tuple.
 
 Each component of a functional graph holds exactly one cycle, so the grand
 orbits are read off the cycle decomposition, and the invariant sets (the
@@ -64,12 +71,17 @@ FIXED_SPACE_SEED = 0
 
 @dataclass(frozen=True)
 class FiniteMap:
-    """A self-map of {0, ..., n-1} given by its image table."""
+    """A self-map of {0, ..., n-1} given by its image table of Python or numpy integers."""
 
     image: tuple[int, ...]
 
     def __post_init__(self):
-        image = tuple(int(i) for i in self.image)
+        image = tuple(self.image)
+        # int() would truncate 1.7 and read True or "1" as 1
+        if not all(type(i) is int for i in image):
+            if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in image):
+                raise InputError(f"map entries must be integers; got {list(image)!r}")
+            image = tuple(int(i) for i in image)
         object.__setattr__(self, "image", image)
         n = len(image)
         if n == 0:
@@ -130,12 +142,6 @@ class OrbitDecomposition:
     def cycle_lcm(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles))
 
-    def cycle_means(self, x: Rv) -> np.ndarray:
-        """Exact long-run orbit average of x started from each point."""
-        vals = x.as_array()
-        per_cycle = [float(np.mean(vals[list(c)])) for c in self.cycles]
-        return np.asarray([per_cycle[ci] for ci in self.cycle_index])
-
 
 #: cache size of the per-map decompositions; covers every map with n <= 4
 MAP_CACHE_SIZE = 1024
@@ -149,32 +155,31 @@ SYSTEM_CACHE_SIZE = 256
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
 def orbit_decomposition(theta: FiniteMap) -> OrbitDecomposition:
-    n = theta.n
-    img = theta.as_array()
-    # theta^n(i) always sits on a cycle
-    landing = np.arange(n, dtype=np.intp)
-    for _ in range(n):
-        landing = img[landing]
+    """Cycles numbered by least member, each listed from it; preperiod and cycle of every point."""
+    img = theta.image
+    # the images theta^k(space) shrink until theta permutes them: that is the union of the cycles
+    nodes = set(img)
+    while (shrunk := {img[i] for i in nodes}) != nodes:
+        nodes = shrunk
     cycles: list[tuple[int, ...]] = []
     cycle_id_of_node: dict[int, int] = {}
-    for z in sorted(set(int(v) for v in landing)):
+    for z in sorted(nodes):
         if z in cycle_id_of_node:
             continue
         cyc = [z]
-        cur = int(img[z])
+        cur = img[z]
         while cur != z:
             cyc.append(cur)
-            cur = int(img[cur])
+            cur = img[cur]
         for node in cyc:
             cycle_id_of_node[node] = len(cycles)
         cycles.append(tuple(cyc))
     preperiod = []
     cycle_index = []
-    cycle_nodes = set(cycle_id_of_node)
-    for i in range(n):
+    for i in range(theta.n):
         k, cur = 0, i
-        while cur not in cycle_nodes:
-            cur = int(img[cur])
+        while cur not in nodes:
+            cur = img[cur]
             k += 1
         preperiod.append(k)
         cycle_index.append(cycle_id_of_node[cur])
@@ -275,7 +280,30 @@ def is_expectation_preserving(sys: FiniteSystem) -> bool:
 
 def _upper_capacity(matrix: np.ndarray, mask: np.ndarray) -> float:
     """Upper capacity of the event with the given boolean mask."""
-    return float(np.max(matrix @ mask.astype(float)))
+    return float((matrix @ mask.astype(float)).max())
+
+
+@dataclass(frozen=True, eq=False)
+class _OrbitArrays:
+    """A map's orbit structure as index arrays: what the per-payoff cycle means read."""
+
+    image: np.ndarray
+    cycle_index: np.ndarray
+    n_cycles: int
+    #: per cycle length L, the ids of the L-cycles and their (k_L, L) member array
+    by_length: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def cycle_means(self, vals: np.ndarray) -> np.ndarray:
+        """Exact long-run orbit average of vals started from each point.
+
+        A row of a C-ordered (k, L) array is reduced by the same pairwise sum
+        as a 1-d array of length L, so each mean is bit for bit np.mean of
+        its cycle's values.
+        """
+        per_cycle = np.empty(self.n_cycles)
+        for ids, members in self.by_length:
+            per_cycle[ids] = vals[members].sum(axis=1) / members.shape[1]
+        return per_cycle[self.cycle_index]
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,6 +313,20 @@ class _SystemFacts:
     sys: FiniteSystem
     preserving: bool
     matrix: np.ndarray
+
+    @cached_property
+    def orbits(self) -> _OrbitArrays:
+        dec = orbit_decomposition(self.sys.theta)
+        ids_of_length: dict[int, list[int]] = {}
+        for cid, cyc in enumerate(dec.cycles):
+            ids_of_length.setdefault(len(cyc), []).append(cid)
+        by_length = tuple(
+            (np.asarray(ids, dtype=np.intp), np.asarray([dec.cycles[c] for c in ids], dtype=np.intp))
+            for ids in ids_of_length.values()
+        )
+        return _OrbitArrays(
+            self.sys.theta.as_array(), np.asarray(dec.cycle_index, dtype=np.intp), len(dec.cycles), by_length
+        )
 
     @cached_property
     def ergodic(self) -> bool:
@@ -397,21 +439,6 @@ def fixed_space_audit(sys: FiniteSystem) -> FixedSpaceReport:
     return FixedSpaceReport(dimension=k, simple=simple, ergodic=facts.ergodic)
 
 
-def birkhoff_limit(sys: FiniteSystem, x: Rv, omega: int) -> tuple[float, float]:
-    """liminf and limsup of the running orbit averages started at omega.
-
-    On a finite space the orbit enters a cycle after finitely many steps, so
-    both limits equal the mean of x over that cycle; no sampling is involved.
-    """
-    if x.n != sys.n:
-        raise InputError("payoff dimension mismatch")
-    if omega < 0 or omega >= sys.n:
-        raise InputError("start point outside the space")
-    dec = orbit_decomposition(sys.theta)
-    m = float(dec.cycle_means(x)[omega])
-    return m, m
-
-
 @dataclass(frozen=True)
 class SllnReport:
     """Exact strong-law check for one payoff on one finite system."""
@@ -451,20 +478,21 @@ def slln_audit(sys: FiniteSystem, x: Rv) -> SllnReport:
     Ergodicity is a property of the system, not of the payoff, so it is
     decided once per system and reused for every payoff.  The envelope and
     every capacity are read from the system's cached prior matrix, bit for
-    bit what lower_exp, upper_exp and the event indicators would give.
+    bit what lower_exp, upper_exp and the event indicators would give, and
+    the cycle means from its cached orbit arrays.
     """
     facts = _require_preserving(sys)
     if x.n != sys.n:
         raise InputError("payoff dimension mismatch")
-    dec = orbit_decomposition(sys.theta)
-    means = dec.cycle_means(x)
+    orbits = facts.orbits
     vals = x.as_array()
-    lo = -float(np.max(facts.matrix @ -vals))
-    hi = float(np.max(facts.matrix @ vals))
+    means = orbits.cycle_means(vals)
+    lo = -float((facts.matrix @ -vals).max())
+    hi = float((facts.matrix @ vals).max())
     bad = (means < lo - TOL_DERIVED) | (means > hi + TOL_DERIVED)
     bad_cap = _upper_capacity(facts.matrix, bad)
 
-    moved = np.abs(vals[sys.theta.as_array()] - vals) > TOL_SIMPLEX
+    moved = np.abs(vals[orbits.image] - vals) > TOL_SIMPLEX
     theta_fixed_qs = _upper_capacity(facts.matrix, moved) <= TOL_SIMPLEX
 
     fixed_bad_members: tuple[int, ...] = ()
@@ -472,7 +500,7 @@ def slln_audit(sys: FiniteSystem, x: Rv) -> SllnReport:
     equality: bool | None = None
     if theta_fixed_qs:
         fb = np.abs(means - hi) > 1e-9
-        fixed_bad_members = tuple(int(i) for i in np.nonzero(fb)[0])
+        fixed_bad_members = tuple(fb.nonzero()[0].tolist())
         fixed_bad_cap = _upper_capacity(facts.matrix, fb)
         equality = fixed_bad_cap <= TOL_SIMPLEX
 
@@ -480,8 +508,8 @@ def slln_audit(sys: FiniteSystem, x: Rv) -> SllnReport:
         ergodic=facts.ergodic,
         lower=lo,
         upper=hi,
-        cycle_means=tuple(float(m) for m in means),
-        bad_members=tuple(int(i) for i in np.nonzero(bad)[0]),
+        cycle_means=tuple(means.tolist()),
+        bad_members=tuple(bad.nonzero()[0].tolist()),
         bad_capacity=bad_cap,
         bounds_hold_qs=bad_cap <= TOL_SIMPLEX,
         theta_fixed_qs=theta_fixed_qs,
@@ -669,24 +697,26 @@ def invariant_prior_set(theta: FiniteMap, seed_prior: ProbVector) -> PriorSet:
     if theta.n != seed_prior.n:
         raise InputError("dimension mismatch between map and prior")
     dec = orbit_decomposition(theta)
-    row = seed_prior.as_array()[None, :]
+    img = theta.as_array()
+    row = seed_prior.as_array()
+    # bincount adds the weights in index order into zeros, as _push_rows's np.add.at does
     for _ in range(dec.max_preperiod):
-        row = _push_rows(theta, row)
+        row = np.bincount(img, weights=row, minlength=theta.n)
     seen = set()
     unique = []
     for _ in range(dec.cycle_lcm):
-        weights = tuple(row[0].tolist())
+        weights = tuple(row.tolist())
         if weights not in seen:
             seen.add(weights)
             unique.append(ProbVector(weights))
-        row = _push_rows(theta, row)
+        row = np.bincount(img, weights=row, minlength=theta.n)
     return PriorSet(tuple(unique))
 
 
 def random_preserving_system(n: int, rng: np.random.Generator) -> FiniteSystem:
     """A random system that preserves its upper expectation by construction."""
-    theta = FiniteMap(tuple(int(i) for i in rng.integers(0, n, n)))
+    theta = FiniteMap(tuple(rng.integers(0, n, n).tolist()))
     raw = rng.uniform(0.0, 1.0, n) + 1e-3
-    seed_prior = ProbVector(tuple(raw / raw.sum()))
+    seed_prior = ProbVector(tuple((raw / raw.sum()).tolist()))
     priors = invariant_prior_set(theta, seed_prior)
     return FiniteSystem(n, priors, theta)

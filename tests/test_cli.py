@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ergolab import gheat
 from ergolab.cli import _build_parser, _parse_policies, main
 from ergolab.gheat import GHeatParams
 from ergolab.scenario import default_policy_suite
@@ -248,6 +249,25 @@ class TestInputErrors:
     def test_non_finite_time_or_arc_exit_2(self, capsys, argv):
         assert run(argv) == 2
         assert "input error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gheat", "converge", "--times", "0.1,0.2"],
+            ["gheat", "invariant", "--deltas", "0.1,0.2"],
+            ["gheat", "xcheck", "--case", "linear"],
+        ],
+        ids=["converge", "invariant", "xcheck"],
+    )
+    def test_bad_tol_exit_2(self, monkeypatch, capsys, argv, tol):
+        # no error is <= a NaN or negative tolerance and every one is <= inf
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before rejecting --tol")
+
+        monkeypatch.setattr(gheat, "solve", no_solve)
+        assert run([*argv, "--tol", tol]) == 2
+        assert "--tol must be finite and >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

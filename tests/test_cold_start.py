@@ -1,5 +1,8 @@
 """Cold start: importing ergolab and running the LP-free routes loads no scipy.
 
+The LP-free routes checked: gheat solve, lab-enumerate, lab-audit, and
+slln_audit on random preserving systems.
+
 Every CLI command runs in a fresh interpreter, so an import at module level
 is paid on every run.  scipy is needed only for a hull-distance LP, and
 must be imported inside the function that solves it.
@@ -14,7 +17,7 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys, tempfile
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -28,7 +31,19 @@ with contextlib.redirect_stdout(io.StringIO()):
     seen["gheat-solve"] = scipy_modules()
     seen["lab-enumerate-code"] = cli.main(["lab-enumerate", "--n", "4"])
     seen["lab-enumerate"] = scipy_modules()
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "three_cycle.json")
+        with open(spec, "w") as fh:
+            json.dump({"n": 3, "theta": [1, 2, 0], "priors": [[1 / 3, 1 / 3, 1 / 3]]}, fh)
+        seen["lab-audit-code"] = cli.main(["lab-audit", "--spec", spec])
+    seen["lab-audit"] = scipy_modules()
 import numpy as np
+from ergolab.credal import Rv
+rng = np.random.default_rng(7)
+for n in range(1, 9):
+    system = finite.random_preserving_system(n, rng)
+    finite.slln_audit(system, Rv(tuple(rng.uniform(-1.0, 1.0, n))))
+seen["random-slln"] = scipy_modules()
 finite.hull_distance(np.eye(4)[:3], np.eye(4)[3])
 seen["hull-distance"] = scipy_modules()
 print(json.dumps(seen))
@@ -44,8 +59,11 @@ def test_scipy_loads_only_for_an_lp():
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["gheat-solve-code"] == 0
     assert seen["lab-enumerate-code"] == 0
+    assert seen["lab-audit-code"] == 0
     assert seen["import"] == []
     assert seen["gheat-solve"] == []
     assert seen["lab-enumerate"] == []
+    assert seen["lab-audit"] == []
+    assert seen["random-slln"] == []
     # the guard is not vacuous: the LP route does load scipy
     assert "scipy.optimize" in seen["hull-distance"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -72,6 +74,107 @@ class TestValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             upper_exp(VERTEX2, Rv((1.0, 2.0, 3.0)))
+
+
+class RefProbVector:
+    """ProbVector's validation before it dropped numpy's per-call reductions, copied verbatim."""
+
+    def __init__(self, weights):
+        self.weights = weights
+        w = np.asarray(self.weights, dtype=float)
+        self.weights = tuple(float(x) for x in w)
+        if w.ndim != 1 or w.size == 0:
+            raise InputError("weights must be a nonempty 1-d sequence")
+        if not np.all(np.isfinite(w)):
+            raise InputError(f"non-finite weight in {self.weights}")
+        if np.any(w < -credal.TOL_SIMPLEX):
+            raise InputError(f"negative weight in {self.weights}")
+        s = float(w.sum())
+        if abs(s - 1.0) > credal.TOL_SIMPLEX:
+            raise InputError(f"weights sum to {s}, expected 1 within {credal.TOL_SIMPLEX}")
+
+
+class RefRv:
+    """Rv's validation before it stored v.tolist(), copied verbatim."""
+
+    def __init__(self, values):
+        self.values = values
+        v = np.asarray(self.values, dtype=float)
+        if v.ndim != 1 or v.size == 0:
+            raise InputError("values must be a nonempty 1-d sequence")
+        self.values = tuple(float(x) for x in v)
+        if not all(map(math.isfinite, self.values)):
+            raise InputError(f"non-finite value in {self.values}")
+
+
+NINTH = 1.0 / 9.0
+VALIDATION_INPUTS = [
+    (float("nan"), 1.0),
+    (float("inf"), 0.0),
+    (float("-inf"), 1.0),
+    (0.5, float("nan"), 0.5),
+    (-1e-13, 1.0 + 1e-13),
+    (-1e-11, 1.0 + 1e-11),
+    (0.5, 0.5 + 0.9e-12),
+    (0.5, 0.5 - 0.9e-12),
+    (0.5, 0.5 + 1.1e-12),
+    (0.5, 0.5 - 1.1e-12),
+    (1.0 + 0.9e-12,),
+    (1.0 - 0.9e-12,),
+    (1.0 + 1.1e-12,),
+    (1.0 - 1.1e-12,),
+    (1.0,),
+    (-0.0, 1.0),
+    # nine weights: numpy's sum is pairwise from eight on
+    (NINTH,) * 8 + (1.0 - 8 * NINTH + 0.9e-12,),
+    (NINTH,) * 8 + (1.0 - 8 * NINTH - 0.9e-12,),
+    (NINTH,) * 8 + (1.0 - 8 * NINTH + 1.1e-12,),
+    (NINTH,) * 8 + (1.0 - 8 * NINTH - 1.1e-12,),
+    (NINTH,) * 9,
+    (0, 1),
+    (1,),
+    (2, -1),
+    (True, False),
+    (np.int64(0), np.int64(1)),
+    np.array([0.25, 0.75], dtype=np.float32),
+    np.full(3, 1.0 / 3.0, dtype=np.float32),
+    np.full(3, 1.0 / 3.0),
+    [0.25, 0.75],
+    ((0.5, 0.5), (0.5, 0.5)),
+    ((1.0,),),
+    [[]],
+    (),
+    [],
+    np.zeros((0, 2)),
+    1.0,
+]
+
+
+def outcome(cls, raw, field):
+    """What constructing cls from raw gives: the stored tuple's repr, or the exception."""
+    try:
+        return ("ok", repr(getattr(cls(raw), field)))
+    except Exception as exc:  # the exception itself is what is compared
+        return (type(exc), str(exc))
+
+
+class TestValidationDifferential:
+    """ProbVector and Rv store, accept and reject exactly as the numpy-reduction route did."""
+
+    @pytest.mark.parametrize("raw", VALIDATION_INPUTS, ids=repr)
+    def test_prob_vector(self, raw):
+        assert outcome(ProbVector, raw, "weights") == outcome(RefProbVector, raw, "weights")
+
+    @pytest.mark.parametrize("raw", VALIDATION_INPUTS, ids=repr)
+    def test_rv(self, raw):
+        assert outcome(Rv, raw, "values") == outcome(RefRv, raw, "values")
+
+    def test_inputs_reach_every_branch(self):
+        kinds = {outcome(RefProbVector, raw, "weights")[0] for raw in VALIDATION_INPUTS}
+        messages = " ".join(str(outcome(RefProbVector, raw, "weights")[1]) for raw in VALIDATION_INPUTS)
+        assert {"ok", InputError, TypeError} <= kinds
+        for fragment in ("non-finite", "negative", "sum to", "nonempty", "0-d", "0-dimensional"):
+            assert fragment in messages
 
 
 class TestUpperLower:

@@ -31,7 +31,6 @@ from ergolab.finite import (
     SllnReport,
     FiniteSystem,
     all_maps,
-    birkhoff_limit,
     enumerate_preserving_systems,
     fixed_space_audit,
     grand_orbits,
@@ -330,6 +329,13 @@ def package_caches():
     return found
 
 
+def cycle_means(dec, x: Rv) -> np.ndarray:
+    """Exact long-run orbit average of x started from each point: one np.mean per cycle."""
+    vals = x.as_array()
+    per_cycle = [float(np.mean(vals[list(c)])) for c in dec.cycles]
+    return np.asarray([per_cycle[ci] for ci in dec.cycle_index])
+
+
 # The route the per-system cache replaced, copied verbatim except that each
 # name carries a ref_ prefix: every capacity goes through an EventSet
 # indicator and upper_exp, and ergodicity is decided again on every call.
@@ -388,7 +394,7 @@ def ref_slln_audit(sys: FiniteSystem, x: Rv) -> SllnReport:
     if x.n != sys.n:
         raise InputError("payoff dimension mismatch")
     dec = orbit_decomposition(sys.theta)
-    means = dec.cycle_means(x)
+    means = cycle_means(dec, x)
     lo = lower_exp(sys.priors, x)
     hi = upper_exp(sys.priors, x)
     bad = np.nonzero((means < lo - TOL_DERIVED) | (means > hi + TOL_DERIVED))[0]
@@ -737,6 +743,146 @@ class TestOrbitTableDifferential:
         assert 0 < tally["indecomposable"] < tally["systems"] == 500
 
 
+def ref_orbit_decomposition(theta: FiniteMap) -> finite.OrbitDecomposition:
+    """orbit_decomposition's numpy route, copied verbatim (its lru_cache dropped)."""
+    n = theta.n
+    img = theta.as_array()
+    # theta^n(i) always sits on a cycle
+    landing = np.arange(n, dtype=np.intp)
+    for _ in range(n):
+        landing = img[landing]
+    cycles: list[tuple[int, ...]] = []
+    cycle_id_of_node: dict[int, int] = {}
+    for z in sorted(set(int(v) for v in landing)):
+        if z in cycle_id_of_node:
+            continue
+        cyc = [z]
+        cur = int(img[z])
+        while cur != z:
+            cyc.append(cur)
+            cur = int(img[cur])
+        for node in cyc:
+            cycle_id_of_node[node] = len(cycles)
+        cycles.append(tuple(cyc))
+    preperiod = []
+    cycle_index = []
+    cycle_nodes = set(cycle_id_of_node)
+    for i in range(n):
+        k, cur = 0, i
+        while cur not in cycle_nodes:
+            cur = int(img[cur])
+            k += 1
+        preperiod.append(k)
+        cycle_index.append(cycle_id_of_node[cur])
+    return finite.OrbitDecomposition(tuple(preperiod), tuple(cycle_index), tuple(cycles))
+
+
+def ref_push_row(theta: FiniteMap, row: np.ndarray) -> np.ndarray:
+    """One pushforward by the scatter-add of _push_rows, for a single row."""
+    out = np.zeros_like(row[None, :])
+    np.add.at(out, (slice(None), theta.as_array()), row[None, :])
+    return out[0]
+
+
+def random_cycle_system(rng, max_cycles=6, on_cycles=None, n_max=24):
+    """A system on n <= n_max points with up to max_cycles cycles, of lengths up to n_max.
+
+    on_cycles, if given, fixes how many points lie on cycles.
+
+    The prior is uniform on the cycle points: theta_* moves each cycle point's
+    mass to the next one and the tree points carry none, so it is preserved.
+    """
+    n = int(rng.integers(max(2, on_cycles or 0), n_max + 1))
+    if on_cycles is None:
+        on_cycles = int(rng.integers(1, n + 1))
+    n_cuts = min(max_cycles, on_cycles) - 1
+    cuts = sorted(rng.choice(np.arange(1, on_cycles), n_cuts, replace=False).tolist())
+    image = [0] * n
+    for start, stop in zip([0] + cuts, cuts + [on_cycles]):
+        for i in range(start, stop):
+            image[i] = i + 1 if i + 1 < stop else start
+    for i in range(on_cycles, n):
+        image[i] = int(rng.integers(0, i))
+    perm = rng.permutation(n)  # perm[i] is the new label of point i
+    theta = FiniteMap(tuple(int(perm[image[i]]) for i in np.argsort(perm)))
+    weights = np.zeros(n)
+    weights[perm[:on_cycles]] = 1.0 / on_cycles
+    return FiniteSystem(n, PriorSet((ProbVector(tuple(weights)),)), theta)
+
+
+class TestFiniteHotPathDifferential:
+    """The pure-Python, bincount and per-length routes match the numpy routes they replaced, byte for byte."""
+
+    def test_orbit_decomposition_every_map_n_le_6(self):
+        count = 0
+        for n in range(1, 7):
+            for theta in all_maps(n):
+                assert orbit_decomposition(theta) == ref_orbit_decomposition(theta), theta
+                count += 1
+        assert count == 50069
+
+    def test_orbit_decomposition_random_maps(self):
+        rng = np.random.default_rng(20211)
+        for _ in range(300):
+            n = int(rng.integers(7, 40))
+            theta = FiniteMap(tuple(rng.integers(0, n, n).tolist()))
+            assert orbit_decomposition(theta) == ref_orbit_decomposition(theta), theta
+
+    def test_bincount_push_matches_add_at(self):
+        rng = np.random.default_rng(20212)
+        for _ in range(500):
+            n = int(rng.integers(1, 10))
+            theta = FiniteMap(tuple(rng.integers(0, n, n).tolist()))
+            # tiny negatives, signed zeros and wide magnitudes stress the summation order
+            row = rng.uniform(-1e-13, 1.0, n) * 10.0 ** rng.integers(-8, 3, n)
+            row[rng.uniform(size=n) < 0.2] = -0.0
+            got = np.bincount(theta.as_array(), weights=row, minlength=n)
+            assert got.tobytes() == ref_push_row(theta, row).tobytes()
+            raw = rng.uniform(0.0, 1.0, n) + 1e-3
+            seed = ProbVector(tuple(raw / raw.sum()))
+            new, ref = invariant_prior_set(theta, seed), ref_invariant_prior_set(theta, seed)
+            assert new.matrix().tobytes() == ref.matrix().tobytes()
+
+    def test_per_length_cycle_means_match_np_mean(self):
+        rng = np.random.default_rng(20213)
+        lengths = set()
+        # first one cycle of each length 1..24, then random systems
+        for k in range(600):
+            if k < 24:
+                sys_ = random_cycle_system(rng, max_cycles=1, on_cycles=k + 1)
+            else:
+                sys_ = random_cycle_system(rng, max_cycles=1 + k % 6)
+            dec = orbit_decomposition(sys_.theta)
+            lengths.update(len(c) for c in dec.cycles)
+            for _ in range(3):
+                x = Rv(tuple(rng.standard_normal(sys_.n) * 10.0 ** rng.uniform(-6, 6, sys_.n)))
+                got = np.asarray(slln_audit(sys_, x).cycle_means)
+                assert got.tobytes() == cycle_means(dec, x).tobytes(), (sys_.theta, x)
+        # lengths from 8 on take numpy's pairwise sum
+        assert set(range(1, 25)) <= lengths
+
+
+class TestFiniteMapEntries:
+    @pytest.mark.parametrize(
+        "image",
+        [(1.7, 0), (1.0, 0), (True, 0), (np.bool_(True), 0), ("1", 0), (float("nan"), 0), (None, 0)],
+        ids=repr,
+    )
+    def test_non_integer_entry_rejected(self, image):
+        with pytest.raises(InputError, match="map entries must be integers"):
+            FiniteMap(image)
+
+    def test_numpy_integers_become_ints(self):
+        theta = FiniteMap(tuple(np.asarray([1, 0], dtype=np.int32)))
+        assert theta.image == (1, 0) and all(type(i) is int for i in theta.image)
+        assert theta == FiniteMap((1, 0)) and hash(theta) == hash(FiniteMap((1, 0)))
+
+    @pytest.mark.parametrize("image", [(), (2, 0), (-1, 0)])
+    def test_out_of_range_still_rejected(self, image):
+        with pytest.raises(InputError):
+            FiniteMap(image)
+
+
 class TestMapCaches:
     @pytest.mark.parametrize("cached", [orbit_decomposition, grand_orbits])
     def test_cache_is_bounded(self, cached):
@@ -871,26 +1017,27 @@ class TestFixedSpace:
 
 
 class TestBirkhoff:
+    """The exact orbit averages that slln_audit reports as cycle_means."""
+
     def test_three_cycle_mean(self):
         sys_ = FiniteSystem(3, UNIFORM3, CYCLE3)
-        for omega in range(3):
-            assert birkhoff_limit(sys_, Rv((0.0, 1.0, 2.0)), omega) == (1.0, 1.0)
+        assert slln_audit(sys_, Rv((0.0, 1.0, 2.0))).cycle_means == (1.0, 1.0, 1.0)
 
     def test_identity_returns_value(self):
         sys_ = FiniteSystem(2, PriorSet(((0.5, 0.5),)), FiniteMap((0, 1)))
-        assert birkhoff_limit(sys_, Rv((3.0, -1.0)), 1) == (-1.0, -1.0)
+        assert slln_audit(sys_, Rv((3.0, -1.0))).cycle_means[1] == -1.0
 
     def test_preperiodic_point(self):
-        sys_ = FiniteSystem(3, UNIFORM3, FiniteMap((1, 2, 1)))
-        assert birkhoff_limit(sys_, Rv((5.0, 0.0, 2.0)), 0) == (1.0, 1.0)
+        # (0, 0.5, 0.5) is fixed by theta_*, so the system preserves its expectation
+        sys_ = FiniteSystem(3, PriorSet(((0.0, 0.5, 0.5),)), FiniteMap((1, 2, 1)))
+        assert slln_audit(sys_, Rv((5.0, 0.0, 2.0))).cycle_means[0] == 1.0
 
     @given(maps(7), st.data())
     @settings(max_examples=60, deadline=None)
     def test_orbit_invariance(self, theta, data):
         vals = data.draw(st.lists(st.floats(-3, 3), min_size=theta.n, max_size=theta.n))
         x = Rv(tuple(vals))
-        dec = orbit_decomposition(theta)
-        means = dec.cycle_means(x)
+        means = cycle_means(orbit_decomposition(theta), x)
         for omega in range(theta.n):
             assert means[omega] == pytest.approx(means[theta(omega)], abs=1e-12)
 
