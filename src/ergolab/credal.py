@@ -36,17 +36,17 @@ class ProbVector:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        # a nested or 0-d input raises numpy's TypeError here: float() of a row, or iterating a 0-d array
-        weights = tuple(w.tolist()) if w.ndim == 1 else tuple(float(x) for x in w)
-        object.__setattr__(self, "weights", weights)
         if w.ndim != 1 or w.size == 0:
             raise InputError("weights must be a nonempty 1-d sequence")
+        weights = tuple(w.tolist())
+        object.__setattr__(self, "weights", weights)
         if not all(map(math.isfinite, weights)):
             raise InputError(f"non-finite weight in {weights}")
         if min(weights) < -TOL_SIMPLEX:
             raise InputError(f"negative weight in {weights}")
-        # numpy's pairwise sum sets the accept/reject boundary
-        s = float(w.sum())
+        # numpy's pairwise sum sets the accept/reject boundary; the ufunc's own
+        # reduce skips ndarray.sum's Python wrapper
+        s = float(np.add.reduce(w))
         if abs(s - 1.0) > TOL_SIMPLEX:
             raise InputError(f"weights sum to {s}, expected 1 within {TOL_SIMPLEX}")
 

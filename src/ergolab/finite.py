@@ -22,7 +22,12 @@ event's indicator.  A payoff's cycle means are then vals[members].sum(axis=1)
 reduces each row of a C-ordered array by the same pairwise sum as a 1-d
 array.  The per-call paths stay in plain Python where numpy's fixed cost per
 call would exceed the work on a few entries: the cycle decomposition walks
-the image tuple, and probability vectors are validated on their tuple.
+the image tuple, probability vectors are validated on their tuple,
+generators are pushed forward on their weight tuples (np.add.at's additions,
+in its order), and the maximal check walks each point's partial sums.
+np.unique is avoided because it imports numpy.ma on first use, and maxima
+and sums call np.maximum.reduce and np.add.reduce, the ufunc reduction that
+ndarray.max() and .sum() reach through a Python wrapper.
 
 Each component of a functional graph holds exactly one cycle, so the grand
 orbits are read off the cycle decomposition, and the invariant sets (the
@@ -98,6 +103,15 @@ class FiniteMap:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.image, dtype=np.intp)
+
+
+def _count(name: str, value) -> int:
+    """A Python or numpy integer >= 1, as an int; a bool, a float or a string is rejected as FiniteMap does."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer; got {value!r}")
+    if value < 1:
+        raise InputError(f"{name} must be >= 1")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -200,6 +214,14 @@ def _push_rows(theta: FiniteMap, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _push_weights(image: tuple[int, ...], weights: tuple[float, ...]) -> tuple[float, ...]:
+    """Pushforward of one weight tuple: the additions np.add.at makes, in its index order, into zeros."""
+    out = [0.0] * len(weights)
+    for j, w in zip(image, weights):
+        out[j] += w
+    return tuple(out)
+
+
 def hull_distance(points: np.ndarray, q: np.ndarray) -> float:
     """L-infinity distance from q to the convex hull of the given points.
 
@@ -269,8 +291,8 @@ def is_expectation_preserving(sys: FiniteSystem) -> bool:
     pushed vertex.  When the pushed generators equal the generators as a set,
     the answer is yes without finding the vertices.
     """
-    rows = sys.priors.matrix()
-    if set(map(tuple, _push_rows(sys.theta, rows).tolist())) == set(map(tuple, rows.tolist())):
+    image, priors = sys.theta.image, sys.priors.priors
+    if {_push_weights(image, p.weights) for p in priors} == {p.weights for p in priors}:
         return True
     vertices = hull_vertices(sys.priors)
     pushed = _push_rows(sys.theta, vertices)
@@ -280,7 +302,7 @@ def is_expectation_preserving(sys: FiniteSystem) -> bool:
 
 def _upper_capacity(matrix: np.ndarray, mask: np.ndarray) -> float:
     """Upper capacity of the event with the given boolean mask."""
-    return float((matrix @ mask.astype(float)).max())
+    return float(np.maximum.reduce(matrix @ mask.astype(float)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,7 +430,8 @@ class FixedSpaceReport:
 
 def _constant_quasi_surely(matrix: np.ndarray, values: np.ndarray) -> bool:
     """Whether the payoff equals some constant off a polar set."""
-    for v in np.unique(values):
+    # not np.unique: it imports numpy.ma on first use, to ask np.ma.is_masked
+    for v in sorted(set(values.tolist())):
         if _upper_capacity(matrix, np.abs(values - v) > 0) <= TOL_SIMPLEX:
             return True
     return False
@@ -487,8 +510,8 @@ def slln_audit(sys: FiniteSystem, x: Rv) -> SllnReport:
     orbits = facts.orbits
     vals = x.as_array()
     means = orbits.cycle_means(vals)
-    lo = -float((facts.matrix @ -vals).max())
-    hi = float((facts.matrix @ vals).max())
+    lo = -float(np.maximum.reduce(facts.matrix @ -vals))
+    hi = float(np.maximum.reduce(facts.matrix @ vals))
     bad = (means < lo - TOL_DERIVED) | (means > hi + TOL_DERIVED)
     bad_cap = _upper_capacity(facts.matrix, bad)
 
@@ -526,20 +549,25 @@ def maximal_ergodic_check(sys: FiniteSystem, xi: Rv, k: int) -> float:
     E[xi * 1_{max_{0<=j<=k} S_j > 0}], which is >= 0 for every
     expectation-preserving system (the caller warrants preservation).
     """
-    if k < 1:
-        raise InputError("k must be >= 1")
+    k = _count("k", k)
     if xi.n != sys.n:
         raise InputError("payoff dimension mismatch")
-    vals = xi.as_array()
-    img = sys.theta.as_array()
-    pos = np.arange(sys.n, dtype=np.intp)
-    s = np.zeros(sys.n)
-    m = np.zeros(sys.n)  # S_0 = 0
-    for _ in range(k):
-        s = s + vals[pos]
-        np.maximum(m, s, out=m)
-        pos = img[pos]
-    return float(np.max(sys.priors.matrix() @ np.where(m > 0.0, vals, 0.0)))
+    vals = xi.values
+    img = sys.theta.image
+    # each point's S_j in the order S_{j-1} + xi(theta^{j-1} x); only whether
+    # some S_j > 0 enters the integrand, so the walk stops at the first one
+    integrand = []
+    for i, v in enumerate(vals):
+        s, cur = 0.0, i
+        for _ in range(k):
+            s += vals[cur]
+            if s > 0.0:
+                integrand.append(v)
+                break
+            cur = img[cur]
+        else:
+            integrand.append(0.0)
+    return float(np.maximum.reduce(sys.priors.matrix() @ np.asarray(integrand)))
 
 
 # ---------------------------------------------------------------------------
@@ -697,24 +725,23 @@ def invariant_prior_set(theta: FiniteMap, seed_prior: ProbVector) -> PriorSet:
     if theta.n != seed_prior.n:
         raise InputError("dimension mismatch between map and prior")
     dec = orbit_decomposition(theta)
-    img = theta.as_array()
-    row = seed_prior.as_array()
-    # bincount adds the weights in index order into zeros, as _push_rows's np.add.at does
+    img = theta.image
+    weights = seed_prior.weights
     for _ in range(dec.max_preperiod):
-        row = np.bincount(img, weights=row, minlength=theta.n)
+        weights = _push_weights(img, weights)
     seen = set()
     unique = []
     for _ in range(dec.cycle_lcm):
-        weights = tuple(row.tolist())
         if weights not in seen:
             seen.add(weights)
             unique.append(ProbVector(weights))
-        row = np.bincount(img, weights=row, minlength=theta.n)
+        weights = _push_weights(img, weights)
     return PriorSet(tuple(unique))
 
 
 def random_preserving_system(n: int, rng: np.random.Generator) -> FiniteSystem:
     """A random system that preserves its upper expectation by construction."""
+    n = _count("n", n)
     theta = FiniteMap(tuple(rng.integers(0, n, n).tolist()))
     raw = rng.uniform(0.0, 1.0, n) + 1e-3
     seed_prior = ProbVector(tuple((raw / raw.sum()).tolist()))

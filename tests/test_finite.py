@@ -862,6 +862,156 @@ class TestFiniteHotPathDifferential:
         assert set(range(1, 25)) <= lengths
 
 
+# The routes that the tuple pushes, the per-point maximal walk, the sorted
+# set of distinct values and the direct ufunc reductions replaced, copied
+# verbatim except that each name carries a ref_ prefix and the np.unique route
+# inlines the old _upper_capacity, float((matrix @ mask.astype(float)).max()).
+
+
+def ref_is_expectation_preserving(sys: FiniteSystem) -> bool:
+    rows = sys.priors.matrix()
+    if set(map(tuple, finite._push_rows(sys.theta, rows).tolist())) == set(map(tuple, rows.tolist())):
+        return True
+    vertices = hull_vertices(sys.priors)
+    pushed = finite._push_rows(sys.theta, vertices)
+    close = np.max(np.abs(pushed[:, None, :] - vertices[None, :, :]), axis=2) <= HULL_TOL
+    return bool(close.any(axis=1).all() and close.any(axis=0).all())
+
+
+def ref_partial_sum_maximal_ergodic_check(sys: FiniteSystem, xi: Rv, k: int) -> float:
+    if k < 1:
+        raise InputError("k must be >= 1")
+    if xi.n != sys.n:
+        raise InputError("payoff dimension mismatch")
+    vals = xi.as_array()
+    img = sys.theta.as_array()
+    pos = np.arange(sys.n, dtype=np.intp)
+    s = np.zeros(sys.n)
+    m = np.zeros(sys.n)  # S_0 = 0
+    for _ in range(k):
+        s = s + vals[pos]
+        np.maximum(m, s, out=m)
+        pos = img[pos]
+    return float(np.max(sys.priors.matrix() @ np.where(m > 0.0, vals, 0.0)))
+
+
+def ref_unique_constant_quasi_surely(matrix: np.ndarray, values: np.ndarray) -> bool:
+    for v in np.unique(values):
+        if float((matrix @ (np.abs(values - v) > 0).astype(float)).max()) <= TOL_SIMPLEX:
+            return True
+    return False
+
+
+def cancelling_payoff(rng, n):
+    """Dyadic values with signed zeros, so that partial orbit sums often cancel to exactly 0.0."""
+    return Rv(tuple(rng.choice([-1.0, -0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0], n).tolist()))
+
+
+def hits_exact_zero(sys_: FiniteSystem, xi: Rv, k: int) -> bool:
+    """Whether some point's partial sums reach exactly 0.0 and never exceed it within k steps."""
+    for i in range(sys_.n):
+        s, cur, sums = 0.0, i, []
+        for _ in range(k):
+            s += xi.values[cur]
+            sums.append(s)
+            cur = sys_.theta.image[cur]
+        if max(sums) == 0.0:
+            return True
+    return False
+
+
+class TestNumpyOverheadDifferential:
+    """The tuple pushes, the per-point walk and the set of distinct values match the numpy routes they replaced."""
+
+    def test_tuple_push_matches_add_at(self):
+        rng = np.random.default_rng(20231)
+        subnormal = np.finfo(float).smallest_subnormal
+        tally = {"subnormal": 0, "negative_zero_in": 0}
+        for _ in range(2000):
+            n = int(rng.integers(1, 10))
+            theta = FiniteMap(tuple(rng.integers(0, n, n).tolist()))
+            row = rng.uniform(-1e-13, 1.0, n) * 10.0 ** rng.integers(-8, 3, n)
+            pick = rng.uniform(size=n)
+            row[pick < 0.15] = -0.0
+            row[(0.15 <= pick) & (pick < 0.3)] = -1e-13
+            tiny = pick >= 0.8
+            row[tiny] = subnormal * rng.integers(-1000, 1000, int(tiny.sum()))
+            got = np.asarray(finite._push_weights(theta.image, tuple(row.tolist())))
+            assert got.tobytes() == ref_push_row(theta, row).tobytes(), (theta, row)
+            tally["subnormal"] += bool(np.any((got != 0.0) & (np.abs(got) < np.finfo(float).tiny)))
+            tally["negative_zero_in"] += bool(np.any(np.signbit(row) & (row == 0.0)))
+        assert tally["subnormal"] >= 100 and tally["negative_zero_in"] >= 500
+
+    def test_identical_generator_verdicts(self):
+        pairs = 0
+        for n in (1, 2, 3, 4):
+            catalog = prior_catalog(n)
+            for theta in all_maps(n):
+                for priors in catalog:
+                    sys_ = FiniteSystem(n, priors, theta)
+                    assert is_expectation_preserving(sys_) is ref_is_expectation_preserving(sys_), sys_
+                    pairs += 1
+        assert pairs == 2832
+        rng = np.random.default_rng(20232)
+        for _ in range(500):
+            sys_ = random_preserving_system(int(rng.integers(1, 9)), rng)
+            assert is_expectation_preserving(sys_) is ref_is_expectation_preserving(sys_) is True
+        for _ in range(200):
+            sys_ = random_pair(rng)
+            assert is_expectation_preserving(sys_) is ref_is_expectation_preserving(sys_), sys_
+
+    def test_maximal_walk_every_preserving_system_n_le_4(self):
+        rng = np.random.default_rng(20233)
+        systems = 0
+        for n in (1, 2, 3, 4):
+            for sys_ in enumerate_preserving_systems(n):
+                for k in range(1, 9):
+                    for xi in (Rv(tuple(rng.uniform(-1.0, 1.0, n))), cancelling_payoff(rng, n)):
+                        assert maximal_ergodic_check(sys_, xi, k) == ref_partial_sum_maximal_ergodic_check(
+                            sys_, xi, k
+                        ), (sys_, xi, k)
+                systems += 1
+        assert systems == 470
+
+    def test_maximal_walk_random_systems(self):
+        rng = np.random.default_rng(20234)
+        exact_zero = 0
+        for trial in range(1500):
+            n = int(rng.integers(1, 9))
+            sys_ = random_preserving_system(n, rng)
+            k = int(rng.integers(1, 9))
+            if trial % 3:
+                xi = cancelling_payoff(rng, n)
+            else:
+                xi = Rv(tuple((rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-300, 308, n)).tolist()))
+            exact_zero += hits_exact_zero(sys_, xi, k)
+            assert maximal_ergodic_check(sys_, xi, k) == ref_partial_sum_maximal_ergodic_check(sys_, xi, k), (
+                sys_,
+                xi,
+                k,
+            )
+        assert exact_zero >= 300
+
+    def test_distinct_values_match_np_unique(self):
+        rng = np.random.default_rng(20235)
+        labels_pool = np.asarray([-0.0, 0.0, -0.0, 0.0, 1.0, -1.0, 0.5])
+        verdicts = set()
+        systems = [s for n in (1, 2, 3, 4) for s in enumerate_preserving_systems(n)]
+        systems += [random_preserving_system(int(rng.integers(1, 9)), rng) for _ in range(300)]
+        for sys_ in systems:
+            matrix = finite._system_facts(sys_).matrix
+            class_of = np.asarray(grand_orbits(sys_.theta).class_of)
+            k = int(class_of.max()) + 1
+            for _ in range(4):
+                labels = rng.choice(labels_pool, k)
+                labels[rng.uniform(size=k) < 0.2] = rng.uniform(-1.0, 1.0)
+                values = labels[class_of]
+                verdict = finite._constant_quasi_surely(matrix, values)
+                assert verdict == ref_unique_constant_quasi_surely(matrix, values), (sys_, values)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
 class TestFiniteMapEntries:
     @pytest.mark.parametrize(
         "image",
@@ -1091,6 +1241,20 @@ class TestMaximalErgodic:
         with pytest.raises(InputError):
             maximal_ergodic_check(FiniteSystem(3, UNIFORM3, CYCLE3), Rv((1.0, 0.0, 0.0)), 0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, np.bool_(True), "2", None], ids=repr)
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(InputError, match="k must be an integer"):
+            maximal_ergodic_check(FiniteSystem(3, UNIFORM3, CYCLE3), Rv((1.0, 0.0, 0.0)), k)
+
+    @pytest.mark.parametrize("k", [0, -1, np.int64(0)], ids=repr)
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(InputError, match="k must be >= 1"):
+            maximal_ergodic_check(FiniteSystem(3, UNIFORM3, CYCLE3), Rv((1.0, 0.0, 0.0)), k)
+
+    def test_numpy_integer_k_accepted(self):
+        sys_, xi = FiniteSystem(3, UNIFORM3, CYCLE3), Rv((1.0, -1.0, 0.0))
+        assert maximal_ergodic_check(sys_, xi, np.int32(2)) == maximal_ergodic_check(sys_, xi, 2)
+
     def test_randomized_trials_stay_nonnegative(self):
         rng = np.random.default_rng(2024)
         worst = np.inf
@@ -1198,3 +1362,23 @@ class TestCatalog:
         cat = prior_catalog(4)
         keys = [frozenset(p.weights for p in ps.priors) for ps in cat]
         assert len(keys) == len(set(keys))
+
+
+class TestRandomPreservingSystemSize:
+    @pytest.mark.parametrize("n", [-1, 0, np.int64(0)], ids=repr)
+    def test_size_below_one_rejected(self, n):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(InputError, match="n must be >= 1"):
+            random_preserving_system(n, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, np.bool_(True), "3", None], ids=repr)
+    def test_non_integer_size_rejected(self, n):
+        with pytest.raises(InputError, match="n must be an integer"):
+            random_preserving_system(n, np.random.default_rng(3))
+
+    def test_numpy_integer_size_accepted(self):
+        sys_ = random_preserving_system(np.int64(4), np.random.default_rng(3))
+        assert sys_ == random_preserving_system(4, np.random.default_rng(3))
+        assert type(sys_.n) is int
