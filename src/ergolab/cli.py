@@ -132,8 +132,12 @@ def _load_system(path: str) -> tuple[finite.FiniteSystem, dict]:
         if any(isinstance(i, bool) or not isinstance(i, int) for i in (n, *image)):
             raise InputError(f"n and theta entries must be integers; got n={n!r}, theta={list(image)!r}")
         theta = finite.FiniteMap(image)
-        priors = PriorSet(tuple(ProbVector(tuple(float(w) for w in p)) for p in raw["priors"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        rows = [tuple(p) for p in raw["priors"]]
+        # float() would read true as 1.0 and "0.5" as 0.5
+        if any(isinstance(w, bool) or not isinstance(w, (int, float)) for row in rows for w in row):
+            raise InputError(f"prior weights must be numbers; got priors={raw['priors']!r}")
+        priors = PriorSet(tuple(ProbVector(tuple(float(w) for w in row)) for row in rows))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed system spec: {exc}") from exc
     return finite.FiniteSystem(n, priors, theta), raw
 

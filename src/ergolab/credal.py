@@ -3,8 +3,9 @@
 The upper expectation of a payoff vector X over a finite set of priors is
 max_p <p, X>; the lower expectation is the min.  Together they induce a pair
 of capacities (upper, lower) on events.  Everything here is exact linear
-algebra on small vectors; no sampling is involved except in the two audit
-routines, which draw seed-deterministic random payoffs.
+algebra on small vectors; no sampling is involved except in the closure audit
+of the payoffs without mean uncertainty, which draws seed-deterministic random
+payoffs.
 """
 
 from __future__ import annotations
@@ -147,20 +148,14 @@ def lower_exp(prior_set: PriorSet, x: Rv) -> float:
 
 
 def capacity(prior_set: PriorSet, event: EventSet) -> tuple[float, float]:
-    """The pair (upper capacity, lower capacity) of the event."""
+    """The pair (upper capacity, lower capacity) of the event.
+
+    An event of upper capacity 0 is polar; what holds off a polar set holds quasi-surely.
+    """
     if event.n != prior_set.n:
         raise InputError("event size does not match prior set")
     ind = event.indicator()
     return upper_exp(prior_set, ind), lower_exp(prior_set, ind)
-
-
-def is_polar(prior_set: PriorSet, event: EventSet) -> bool:
-    """True iff the upper capacity of the event is zero (within tolerance).
-
-    A statement holding off a polar set holds quasi-surely.
-    """
-    v_up, _ = capacity(prior_set, event)
-    return v_up <= TOL_SIMPLEX
 
 
 def has_no_mean_uncertainty(prior_set: PriorSet, x: Rv) -> bool:
@@ -178,41 +173,6 @@ class AuditReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def axiom_audit(prior_set: PriorSet, trials: int, seed: int) -> AuditReport:
-    """Randomized check of the four defining properties of the upper expectation.
-
-    For each trial draws payoffs X, Y with components uniform in [-1, 1],
-    lam uniform in [0, 2], c uniform in [-1, 1], and checks monotonicity,
-    constant preserving, sub-additivity and positive homogeneity within
-    TOL_DERIVED.  Violations indicate an implementation bug, never sampling
-    noise: the checked inequalities are exact for a max of linear functionals.
-    """
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = prior_set.n
-    violations: list[str] = []
-    for k in range(trials):
-        xv = rng.uniform(-1.0, 1.0, n)
-        yv = rng.uniform(-1.0, 1.0, n)
-        lam = rng.uniform(0.0, 2.0)
-        c = rng.uniform(-1.0, 1.0)
-        x, y = Rv(tuple(xv)), Rv(tuple(yv))
-        smaller = Rv(tuple(xv - np.abs(yv)))  # smaller <= x pointwise
-        if upper_exp(prior_set, x) < upper_exp(prior_set, smaller) - TOL_DERIVED:
-            violations.append(f"trial {k}: monotonicity")
-        const = Rv(tuple(np.full(n, c)))
-        if abs(upper_exp(prior_set, const) - c) > TOL_DERIVED:
-            violations.append(f"trial {k}: constant preserving")
-        xy = Rv(tuple(xv + yv))
-        if upper_exp(prior_set, xy) > upper_exp(prior_set, x) + upper_exp(prior_set, y) + TOL_DERIVED:
-            violations.append(f"trial {k}: sub-additivity")
-        lx = Rv(tuple(lam * xv))
-        if abs(upper_exp(prior_set, lx) - lam * upper_exp(prior_set, x)) > TOL_DERIVED:
-            violations.append(f"trial {k}: positive homogeneity")
-    return AuditReport(trials=trials, violations=tuple(violations))
 
 
 def _certainty_basis(prior_set: PriorSet) -> np.ndarray:

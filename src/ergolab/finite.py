@@ -23,8 +23,9 @@ reduces each row of a C-ordered array by the same pairwise sum as a 1-d
 array.  The per-call paths stay in plain Python where numpy's fixed cost per
 call would exceed the work on a few entries: the cycle decomposition walks
 the image tuple, probability vectors are validated on their tuple,
-generators are pushed forward on their weight tuples (np.add.at's additions,
-in its order), and the maximal check walks each point's partial sums.
+generators and hull vertices are pushed forward on their weight tuples
+(np.add.at's additions, in its order), and the maximal check walks each
+point's partial sums.
 np.unique is avoided because it imports numpy.ma on first use, and maxima
 and sums call np.maximum.reduce and np.add.reduce, the ufunc reduction that
 ndarray.max() and .sum() reach through a Python wrapper.
@@ -204,18 +205,11 @@ def pushforward(theta: FiniteMap, p: ProbVector) -> ProbVector:
     """Image measure: mass of j becomes the mass of its theta-preimage."""
     if theta.n != p.n:
         raise InputError("dimension mismatch between map and prior")
-    return ProbVector(_push_rows(theta, p.as_array()[None, :])[0])
+    return ProbVector(_push_weights(theta.image, p.weights))
 
 
-def _push_rows(theta: FiniteMap, rows: np.ndarray) -> np.ndarray:
-    """Pushforward of every row of a prior matrix, by one scatter-add."""
-    out = np.zeros_like(rows)
-    np.add.at(out, (slice(None), theta.as_array()), rows)
-    return out
-
-
-def _push_weights(image: tuple[int, ...], weights: tuple[float, ...]) -> tuple[float, ...]:
-    """Pushforward of one weight tuple: the additions np.add.at makes, in its index order, into zeros."""
+def _push_weights(image: tuple[int, ...], weights: tuple[float, ...] | list[float]) -> tuple[float, ...]:
+    """Pushforward of one weight sequence: the additions np.add.at makes, in its index order, into zeros."""
     out = [0.0] * len(weights)
     for j, w in zip(image, weights):
         out[j] += w
@@ -295,7 +289,7 @@ def is_expectation_preserving(sys: FiniteSystem) -> bool:
     if {_push_weights(image, p.weights) for p in priors} == {p.weights for p in priors}:
         return True
     vertices = hull_vertices(sys.priors)
-    pushed = _push_rows(sys.theta, vertices)
+    pushed = np.asarray([_push_weights(image, v) for v in vertices.tolist()])
     close = np.max(np.abs(pushed[:, None, :] - vertices[None, :, :]), axis=2) <= HULL_TOL
     return bool(close.any(axis=1).all() and close.any(axis=0).all())
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -121,6 +122,8 @@ class GHeatParams:
     def __post_init__(self):
         if not (0.0 < self.sigma_lo2 <= self.sigma_hi2):
             raise InputError("need 0 < sigma_lo2 <= sigma_hi2")
+        if not np.isfinite(self.sigma_hi2):
+            raise InputError(f"sigma_hi2 must be finite; got {self.sigma_hi2}")
         if not (0.0 < self.cfl < 1.0):
             raise InputError("cfl must lie in (0, 1)")
 
@@ -224,19 +227,12 @@ def solve(phi: GridFn, t: float, p: GHeatParams) -> GridFn:
     if not np.isfinite(t):
         raise InputError(f"t must be finite; got {t}")
     dt = p.dt(phi.grid)
+    if not (dt > 0.0 and t / dt <= sys.maxsize):
+        raise InputError(f"t={t} takes more than {sys.maxsize} steps of dt={dt:g}")
     n_full = int(np.floor(t / dt + 1e-9))
     rem = t - n_full * dt
     taus = chain(repeat(dt, n_full), (rem,) if rem > 1e-12 else ())
     return GridFn(phi.grid, _advance(phi.values, phi.grid.h**2, p, taus))
-
-
-def semigroup_check(phi: GridFn, s: float, t: float, p: GHeatParams) -> float:
-    """sup-norm defect of the flow property: |solve(phi, s+t) - solve(solve(phi, t), s)|."""
-    if s < 0 or t < 0:
-        raise InputError("times must be >= 0")
-    direct = solve(phi, s + t, p)
-    chained = solve(solve(phi, t, p), s, p)
-    return float(np.max(np.abs(direct.values - chained.values)))
 
 
 def mean(u: GridFn) -> float:

@@ -65,6 +65,8 @@ class VolPolicy:
             raise InputError(f"unknown policy kind {self.kind!r}")
         if not (0 < self.sigma_lo <= self.sigma_hi):
             raise InputError("need 0 < sigma_lo <= sigma_hi")
+        if not math.isfinite(self.sigma_hi):
+            raise InputError(f"sigma_hi must be finite; got {self.sigma_hi}")
         if self.kind == "constant":
             if self.sigma is None:
                 raise InputError("constant policy needs sigma")

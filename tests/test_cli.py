@@ -45,6 +45,9 @@ class TestLabAudit:
     def test_bad_weights_exit_2(self, tmp_path):
         spec = write_spec(tmp_path, {"n": 2, "theta": [0, 1], "priors": [[0.5, 0.4]]})
         assert run(["lab-audit", "--spec", spec]) == 2
+        # an integer weight too large for a float
+        spec = write_spec(tmp_path, {"n": 2, "theta": [0, 1], "priors": [[10**400, 0]]})
+        assert run(["lab-audit", "--spec", spec]) == 2
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["lab-audit", "--spec", str(tmp_path / "nope.json")]) == 2
@@ -79,6 +82,16 @@ class TestLabAudit:
         out = tmp_path / "report.json"
         assert run(["lab-audit", "--spec", spec, "--out", str(out)]) == 2
         assert "n and theta entries must be integers" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("priors", [[[True, False]], [["0.5", "0.5"]]], ids=["bool", "string"])
+    def test_non_number_weight_exit_2(self, tmp_path, capsys, priors):
+        # float() would read true as 1.0 and "0.5" as 0.5 while the report echoes the raw spec
+        spec = write_spec(tmp_path, {"n": 2, "theta": [0, 1], "priors": priors})
+        out = tmp_path / "report.json"
+        assert run(["lab-audit", "--spec", spec, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "prior weights must be numbers" in err
         assert not out.exists()
 
     def test_zero_trials_reports_null(self, tmp_path):
@@ -242,13 +255,20 @@ class TestInputErrors:
             ["mc-slln", "--t", "nan"],
             ["mc-slln", "--dt", "nan"],
             ["gheat", "solve", "--phi", "indicator:nan,1", "--t", "0.01"],
+            ["gheat", "solve", "--t", "0.01", "--sigma-hi2", "inf"],
+            ["gheat", "steady", "--sigma-hi2", "inf"],
+            ["gheat", "xcheck", "--case", "nonlinear", "--sigma-hi2", "inf"],
+            ["mc-slln", "--t", "1", "--sigma-hi2", "inf"],
+            ["gheat", "solve", "--t", "1e300"],
+            ["gheat", "solve", "--t", "0.01", "--sigma-hi2", "1e308"],
         ],
         ids=["solve-t-nan", "solve-t-inf", "steady-t-nan", "converge-times-nan", "invariant-deltas-inf",
-             "xcheck-t-nan", "mc-slln-t-nan", "mc-slln-dt-nan", "indicator-nan"],
+             "xcheck-t-nan", "mc-slln-t-nan", "mc-slln-dt-nan", "indicator-nan", "solve-hi2-inf",
+             "steady-hi2-inf", "xcheck-hi2-inf", "mc-slln-hi2-inf", "solve-t-1e300", "solve-hi2-1e308"],
     )
     def test_non_finite_time_or_arc_exit_2(self, capsys, argv):
         assert run(argv) == 2
-        assert "input error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("input error:")
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     @pytest.mark.parametrize(

@@ -7,7 +7,8 @@ Every CLI command runs in a fresh interpreter, so an import at module level
 is paid on every run.  scipy is needed only for a hull-distance LP, and
 must be imported inside the function that solves it.  numpy.ma is needed
 by none of these routes either; numpy imports it lazily, for instance from
-np.unique, so the same routes are checked not to load it.
+np.unique, so the same routes are checked not to load it.  `import ergolab`
+itself loads neither `ergolab.scenario` nor `ergolab.wrapped`.
 """
 
 import json
@@ -31,6 +32,7 @@ seen = {}
 import ergolab
 seen["import"] = scipy_modules()
 seen["import-ma"] = loads_ma()
+seen["import-engine-2"] = sorted({"ergolab.scenario", "ergolab.wrapped"} & set(sys.modules))
 from ergolab import cli, finite
 with contextlib.redirect_stdout(io.StringIO()):
     seen["gheat-solve-code"] = cli.main(["gheat", "solve", "--t", "0.01"])
@@ -71,6 +73,8 @@ def test_scipy_loads_only_for_an_lp():
     assert seen["lab-enumerate-code"] == 0
     assert seen["lab-audit-code"] == 0
     assert seen["import"] == []
+    # the package exports only the types a user builds: scenario and wrapped load on demand
+    assert seen["import-engine-2"] == []
     assert seen["gheat-solve"] == []
     assert seen["lab-enumerate"] == []
     assert seen["lab-audit"] == []

@@ -777,11 +777,16 @@ def ref_orbit_decomposition(theta: FiniteMap) -> finite.OrbitDecomposition:
     return finite.OrbitDecomposition(tuple(preperiod), tuple(cycle_index), tuple(cycles))
 
 
+def ref_push_rows(theta: FiniteMap, rows: np.ndarray) -> np.ndarray:
+    """Pushforward of every row of a prior matrix, by one scatter-add."""
+    out = np.zeros_like(rows)
+    np.add.at(out, (slice(None), theta.as_array()), rows)
+    return out
+
+
 def ref_push_row(theta: FiniteMap, row: np.ndarray) -> np.ndarray:
-    """One pushforward by the scatter-add of _push_rows, for a single row."""
-    out = np.zeros_like(row[None, :])
-    np.add.at(out, (slice(None), theta.as_array()), row[None, :])
-    return out[0]
+    """One pushforward by the scatter-add of ref_push_rows, for a single row."""
+    return ref_push_rows(theta, row[None, :])[0]
 
 
 def random_cycle_system(rng, max_cycles=6, on_cycles=None, n_max=24):
@@ -870,10 +875,10 @@ class TestFiniteHotPathDifferential:
 
 def ref_is_expectation_preserving(sys: FiniteSystem) -> bool:
     rows = sys.priors.matrix()
-    if set(map(tuple, finite._push_rows(sys.theta, rows).tolist())) == set(map(tuple, rows.tolist())):
+    if set(map(tuple, ref_push_rows(sys.theta, rows).tolist())) == set(map(tuple, rows.tolist())):
         return True
     vertices = hull_vertices(sys.priors)
-    pushed = finite._push_rows(sys.theta, vertices)
+    pushed = ref_push_rows(sys.theta, vertices)
     close = np.max(np.abs(pushed[:, None, :] - vertices[None, :, :]), axis=2) <= HULL_TOL
     return bool(close.any(axis=1).all() and close.any(axis=0).all())
 
@@ -940,6 +945,10 @@ class TestNumpyOverheadDifferential:
             assert got.tobytes() == ref_push_row(theta, row).tobytes(), (theta, row)
             tally["subnormal"] += bool(np.any((got != 0.0) & (np.abs(got) < np.finfo(float).tiny)))
             tally["negative_zero_in"] += bool(np.any(np.signbit(row) & (row == 0.0)))
+            raw = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 1, n)
+            p = ProbVector(tuple(raw / raw.sum()))
+            got = np.asarray(pushforward(theta, p).weights)
+            assert got.tobytes() == ref_push_row(theta, p.as_array()).tobytes(), (theta, p)
         assert tally["subnormal"] >= 100 and tally["negative_zero_in"] >= 500
 
     def test_identical_generator_verdicts(self):

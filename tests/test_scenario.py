@@ -7,6 +7,7 @@ import pytest
 from ergolab.credal import InputError
 from ergolab.gheat import CircleGrid, GHeatParams, GridFn, cos_fn, constant_fn, indicator_fn, quad_fn, random_fn, solve
 from ergolab.scenario import (
+    VolPolicy,
     capacity_estimate,
     constant_policy,
     default_policy_suite,
@@ -49,8 +50,6 @@ class TestPolicies:
             constant_policy(PARAMS, 2.0)
 
     def test_unknown_kind_rejected(self):
-        from ergolab.scenario import VolPolicy
-
         with pytest.raises(InputError):
             VolPolicy("clairvoyant", 0.5, 1.0)
 
@@ -61,8 +60,9 @@ class TestPolicies:
             lambda: random_switching_policy(PARAMS, rate=math.inf),
             lambda: threshold_policy(PARAMS, math.nan),
             lambda: threshold_policy(PARAMS, -math.inf),
+            lambda: VolPolicy("greedy-bang-bang", 0.5, math.inf),
         ],
-        ids=["rate-nan", "rate-inf", "level-nan", "level-minus-inf"],
+        ids=["rate-nan", "rate-inf", "level-nan", "level-minus-inf", "sigma-hi-inf"],
     )
     def test_non_finite_rate_or_level_rejected(self, make):
         with pytest.raises(InputError, match="must be finite"):
