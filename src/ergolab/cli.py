@@ -108,6 +108,8 @@ def _parse_policies(text: str | None, params: gheat.GHeatParams) -> list[scenari
         if kind not in _POLICY_FIELDS:
             raise InputError(f"unknown policy {chunk!r}")
         factory, fields = _POLICY_FIELDS[kind]
+        if len(values) > len(fields):
+            raise InputError(f"bad policy {chunk!r}: {kind} takes at most {len(fields)} fields")
         try:
             kwargs = {name: parse(v) for (name, parse), v in zip(fields, values)}
         except ValueError as exc:

@@ -11,31 +11,33 @@ a vertex by that coordinate alone (the hull of the others lies between their
 coordinate-wise min and max), so only the generators this proof cannot
 settle cost a hull-distance LP, and scipy is imported only for such an LP.
 
-Everything that depends only on the system is settled once per system and
-kept in one bounded cache: the preservation verdict, the prior matrix and,
-on first use, the ergodicity verdict and the orbit arrays (the image, each
-point's cycle index, and the cycles grouped by length as (k_L, L) index
-arrays).  Every upper capacity the audits need is read from that matrix as
-max(P @ 1_A) on a boolean mask, the same product that upper_exp forms on the
-event's indicator.  A payoff's cycle means are then vals[members].sum(axis=1)
-/ L per length group, which is np.mean of each cycle bit for bit: numpy
-reduces each row of a C-ordered array by the same pairwise sum as a 1-d
-array.  The per-call paths stay in plain Python where numpy's fixed cost per
-call would exceed the work on a few entries: the cycle decomposition walks
-the image tuple, probability vectors are validated on their tuple,
-generators and hull vertices are pushed forward on their weight tuples
-(np.add.at's additions, in its order), and the maximal check walks each
-point's partial sums.
+The orbit structure is a fact of the map alone.  One record per map, cached
+by orbit_decomposition, holds each point's preperiod and cycle, its
+grand-orbit label, and the cycles grouped by length as read-only (k_L, L)
+index arrays; every system with that map shares it.  What depends on the
+priors is settled once per system and kept in a second bounded cache: the
+preservation verdict, the prior matrix and, on first use, the ergodicity
+verdict, which the fixed-space and four-statement audits read rather than
+decide again.  Every upper capacity the audits need is read from that
+matrix as max(P @ 1_A) on a boolean mask, the same product that upper_exp
+forms on the event's indicator.  A payoff's cycle means are
+vals[members].sum(axis=1) / L per length group, which is np.mean of each
+cycle bit for bit: numpy reduces each row of a C-ordered array by the same
+pairwise sum as a 1-d array.  The per-call paths stay in plain Python where
+numpy's fixed cost per call would exceed the work on a few entries: the
+cycle decomposition walks the image tuple, probability vectors are
+validated on their tuple, generators and hull vertices are pushed forward
+on their weight tuples (np.add.at's additions, in its order), a payoff's
+theta-fixed test compares its value tuple along the image tuple, and the
+maximal check walks each point's partial sums.
 np.unique is avoided because it imports numpy.ma on first use, and maxima
 and sums call np.maximum.reduce and np.add.reduce, the ufunc reduction that
 ndarray.max() and .sum() reach through a Python wrapper.
 
-Each component of a functional graph holds exactly one cycle, so the grand
-orbits are read off the cycle decomposition, and the invariant sets (the
-unions of grand orbits) are enumerated by one generator of boolean masks
-that the ergodicity verdict, invariant_sets and both audits share.  The
-four-statement audit builds one table per system holding the capacity and
-the theta-preimage bitmask of every subset.
+The invariant sets, the unions of grand orbits, are enumerated by one
+generator of boolean masks that the ergodicity verdict and invariant_sets
+share.  The four-statement audit builds one table per system holding the
+capacity and the theta-preimage bitmask of every subset.
 
 On a finite space every orbit is preperiodic, so Birkhoff averages are exact
 cycle means, monotone limits of sets are attained after finitely many steps,
@@ -130,20 +132,22 @@ class FiniteSystem:
             )
 
 
-@dataclass(frozen=True)
-class GrandOrbitPartition:
-    """The finest partition whose blocks are closed under i ~ theta(i).
-
-    A set B satisfies theta^{-1}(B) = B exactly when B is a union of blocks.
-    """
-
-    class_of: tuple[int, ...]
-    classes: tuple[EventSet, ...]
+def _read_only_index(entries) -> np.ndarray:
+    out = np.asarray(entries, dtype=np.intp)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
 class OrbitDecomposition:
-    """Preperiod and eventual cycle of every point of a finite map."""
+    """Preperiod and eventual cycle of every point of a finite map, and its grand orbits.
+
+    Each component of the functional graph {i -- theta(i)} holds exactly one
+    cycle, so the grand orbits are the points grouped by cycle: there are
+    len(cycles) of them, and a set B satisfies theta^{-1}(B) = B exactly when
+    B is a union of them.  The record is cached per map and shared by every
+    system with that map, so its arrays are read-only.
+    """
 
     preperiod: tuple[int, ...]
     cycle_index: tuple[int, ...]
@@ -156,6 +160,37 @@ class OrbitDecomposition:
     @property
     def cycle_lcm(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles))
+
+    @cached_property
+    def class_of(self) -> tuple[int, ...]:
+        """Grand-orbit label of each point: cycle_index relabelled by first appearance, that is by least member."""
+        label: dict[int, int] = {}
+        return tuple(label.setdefault(c, len(label)) for c in self.cycle_index)
+
+    @cached_property
+    def cycle_arrays(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+        """cycle_index as an index array, and per cycle length L the ids of the L-cycles and their (k_L, L) member array."""
+        ids_of_length: dict[int, list[int]] = {}
+        for cid, cyc in enumerate(self.cycles):
+            ids_of_length.setdefault(len(cyc), []).append(cid)
+        by_length = tuple(
+            (_read_only_index(ids), _read_only_index([self.cycles[c] for c in ids]))
+            for ids in ids_of_length.values()
+        )
+        return _read_only_index(self.cycle_index), by_length
+
+    def cycle_means(self, vals: np.ndarray) -> np.ndarray:
+        """Exact long-run orbit average of vals started from each point.
+
+        A row of a C-ordered (k, L) array is reduced by the same pairwise sum
+        as a 1-d array of length L, so each mean is bit for bit np.mean of
+        its cycle's values.
+        """
+        index, by_length = self.cycle_arrays
+        per_cycle = np.empty(len(self.cycles))
+        for ids, members in by_length:
+            per_cycle[ids] = vals[members].sum(axis=1) / members.shape[1]
+        return per_cycle[index]
 
 
 #: cache size of the per-map decompositions; covers every map with n <= 4
@@ -300,49 +335,12 @@ def _upper_capacity(matrix: np.ndarray, mask: np.ndarray) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class _OrbitArrays:
-    """A map's orbit structure as index arrays: what the per-payoff cycle means read."""
-
-    image: np.ndarray
-    cycle_index: np.ndarray
-    n_cycles: int
-    #: per cycle length L, the ids of the L-cycles and their (k_L, L) member array
-    by_length: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    def cycle_means(self, vals: np.ndarray) -> np.ndarray:
-        """Exact long-run orbit average of vals started from each point.
-
-        A row of a C-ordered (k, L) array is reduced by the same pairwise sum
-        as a 1-d array of length L, so each mean is bit for bit np.mean of
-        its cycle's values.
-        """
-        per_cycle = np.empty(self.n_cycles)
-        for ids, members in self.by_length:
-            per_cycle[ids] = vals[members].sum(axis=1) / members.shape[1]
-        return per_cycle[self.cycle_index]
-
-
-@dataclass(frozen=True, eq=False)
 class _SystemFacts:
-    """What the audits of one system share: settled once per system."""
+    """What the audits of one system share beyond its map's orbits: settled once per system."""
 
     sys: FiniteSystem
     preserving: bool
     matrix: np.ndarray
-
-    @cached_property
-    def orbits(self) -> _OrbitArrays:
-        dec = orbit_decomposition(self.sys.theta)
-        ids_of_length: dict[int, list[int]] = {}
-        for cid, cyc in enumerate(dec.cycles):
-            ids_of_length.setdefault(len(cyc), []).append(cid)
-        by_length = tuple(
-            (np.asarray(ids, dtype=np.intp), np.asarray([dec.cycles[c] for c in ids], dtype=np.intp))
-            for ids in ids_of_length.values()
-        )
-        return _OrbitArrays(
-            self.sys.theta.as_array(), np.asarray(dec.cycle_index, dtype=np.intp), len(dec.cycles), by_length
-        )
 
     @cached_property
     def ergodic(self) -> bool:
@@ -370,31 +368,15 @@ def _require_preserving(sys: FiniteSystem) -> _SystemFacts:
     return facts
 
 
-@lru_cache(maxsize=MAP_CACHE_SIZE)
-def grand_orbits(theta: FiniteMap) -> GrandOrbitPartition:
-    """Connected components of the undirected functional graph {i -- theta(i)}.
-
-    Each component holds exactly one cycle, so two points share a component
-    iff they land on the same cycle.  Classes are numbered by first
-    appearance, which is numbering by least member.
-    """
-    label: dict[int, int] = {}
-    class_of = tuple(label.setdefault(c, len(label)) for c in orbit_decomposition(theta).cycle_index)
-    classes = tuple(
-        EventSet(theta.n, frozenset(i for i, c in enumerate(class_of) if c == k)) for k in range(len(label))
-    )
-    return GrandOrbitPartition(class_of, classes)
-
-
 def _invariant_masks(sys: FiniteSystem):
     """Boolean masks of all B with theta^{-1}(B) = B, the 2^k unions of grand-orbit classes."""
     if sys.n > 24:
         raise InputError("enumeration budget exceeded: n must be <= 24")
-    part = grand_orbits(sys.theta)
-    k = len(part.classes)
+    dec = orbit_decomposition(sys.theta)
+    k = len(dec.cycles)
     if k > MAX_ENUM_BITS:
         raise InputError(f"enumeration budget exceeded: {k} orbit classes")
-    class_of = np.asarray(part.class_of)
+    class_of = np.asarray(dec.class_of)
     for bits in range(1 << k):
         yield ((bits >> class_of) & 1) == 1
 
@@ -437,16 +419,17 @@ def fixed_space_audit(sys: FiniteSystem) -> FixedSpaceReport:
     The fixed space {f : f o theta = f} is spanned by the grand-orbit class
     indicators.  Simplicity (every fixed f constant quasi-surely) is decided
     on the 0/1 labelings of classes and double-checked on FIXED_SPACE_PAYOFFS
-    random class-constant payoffs drawn with FIXED_SPACE_SEED.
+    random class-constant payoffs drawn with FIXED_SPACE_SEED.  The 0/1
+    labelings are the indicators of the invariant sets B, and 1_B is constant
+    quasi-surely iff B or its complement is polar, so that stage reads the
+    system's ergodicity verdict.
     """
     facts = _require_preserving(sys)
-    part = grand_orbits(sys.theta)
-    k = len(part.classes)
-    class_of = np.asarray(part.class_of)
-    simple = all(
-        _constant_quasi_surely(facts.matrix, inside.astype(float)) for inside in _invariant_masks(sys)
-    )
+    dec = orbit_decomposition(sys.theta)
+    k = len(dec.cycles)
+    simple = facts.ergodic
     if simple:
+        class_of = np.asarray(dec.class_of)
         rng = np.random.default_rng(FIXED_SPACE_SEED)
         for _ in range(FIXED_SPACE_PAYOFFS):
             labels = rng.uniform(-1.0, 1.0, k)
@@ -496,20 +479,19 @@ def slln_audit(sys: FiniteSystem, x: Rv) -> SllnReport:
     decided once per system and reused for every payoff.  The envelope and
     every capacity are read from the system's cached prior matrix, bit for
     bit what lower_exp, upper_exp and the event indicators would give, and
-    the cycle means from its cached orbit arrays.
+    the cycle means from the map's cached orbit decomposition.
     """
     facts = _require_preserving(sys)
     if x.n != sys.n:
         raise InputError("payoff dimension mismatch")
-    orbits = facts.orbits
     vals = x.as_array()
-    means = orbits.cycle_means(vals)
+    means = orbit_decomposition(sys.theta).cycle_means(vals)
     lo = -float(np.maximum.reduce(facts.matrix @ -vals))
     hi = float(np.maximum.reduce(facts.matrix @ vals))
     bad = (means < lo - TOL_DERIVED) | (means > hi + TOL_DERIVED)
     bad_cap = _upper_capacity(facts.matrix, bad)
 
-    moved = np.abs(vals[orbits.image] - vals) > TOL_SIMPLEX
+    moved = np.asarray([abs(x.values[j] - v) > TOL_SIMPLEX for j, v in zip(sys.theta.image, x.values)])
     theta_fixed_qs = _upper_capacity(facts.matrix, moved) <= TOL_SIMPLEX
 
     fixed_bad_members: tuple[int, ...] = ()
@@ -588,7 +570,8 @@ class IndecomposabilityReport:
 def indecomposability_audit(sys: FiniteSystem) -> IndecomposabilityReport:
     """Evaluate the four equivalent forms of indecomposability independently.
 
-    (1) every invariant set is polar or co-polar (via grand orbits);
+    (1) every invariant set is polar or co-polar: the system's ergodicity
+        verdict, decided once over the unions of grand orbits;
     (2) every almost-invariant set (preimage symmetric difference polar) is
         polar or co-polar, over all 2^n subsets;
     (3) for every non-polar A the complement of union over n >= 1 of
@@ -616,12 +599,7 @@ def indecomposability_audit(sys: FiniteSystem) -> IndecomposabilityReport:
     dec = orbit_decomposition(sys.theta)
     bound = dec.max_preperiod + dec.cycle_lcm
 
-    s1 = True
-    for inside in _invariant_masks(sys):
-        mask = int(pow2[inside].sum())
-        if cap[mask] > TOL_SIMPLEX and cap[full ^ mask] > TOL_SIMPLEX:
-            s1 = False
-            break
+    s1 = facts.ergodic
 
     almost_invariant = cap[pre ^ masks] <= TOL_SIMPLEX
     s2 = not np.any(almost_invariant & (cap > TOL_SIMPLEX) & (cap[full ^ masks] > TOL_SIMPLEX))

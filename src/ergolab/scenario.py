@@ -23,6 +23,7 @@ converge to policy-dependent limits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,6 +175,8 @@ def simulate_path(policy: VolPolicy, x0: float, horizon: float, dt: float, seed:
         raise InputError("horizon must be >= 0")
     if not (math.isfinite(dt) and math.isfinite(horizon)):
         raise InputError(f"dt and horizon must be finite; got dt={dt}, horizon={horizon}")
+    if not horizon / dt <= sys.maxsize:
+        raise InputError(f"horizon={horizon} takes more than {sys.maxsize} steps of dt={dt:g}")
     n_steps = int(round(horizon / dt))
     x0 = float(np.mod(x0, TWO_PI))
     if n_steps == 0:

@@ -39,10 +39,14 @@ class WrappedKernelSpec:
     t: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.sigma2) and math.isfinite(self.t)):
+            raise InputError(f"sigma2 and t must be finite; got sigma2={self.sigma2}, t={self.t}")
         if self.sigma2 <= 0:
             raise InputError("sigma2 must be > 0")
         if self.t <= 0:
             raise InputError("t must be > 0")
+        if self.variance == 0.0:
+            raise InputError(f"variance sigma2 * t underflows to 0; got sigma2={self.sigma2}, t={self.t}")
 
     @property
     def variance(self) -> float:
@@ -54,14 +58,15 @@ class WrappedKernelSpec:
 
         Bound: for |x - y| <= 2*pi the omitted centers sit at distance at
         least 2*pi*K, and successive terms decay at least geometrically with
-        ratio exp(-(2*pi)^2 (2K+1) / (2 v)).
+        ratio exp(-(2*pi)^2 (2K+1) / (2 v)).  A ratio that rounds to 1 leaves
+        the bound infinite at that K.
         """
         v = self.variance
         amp = 2.0 / math.sqrt(TWO_PI * v)
         for k in range(1, 201):
             lead = math.exp(-((TWO_PI * k) ** 2) / (2.0 * v))
             ratio = math.exp(-(TWO_PI**2) * (2 * k + 1) / (2.0 * v))
-            if amp * lead / (1.0 - ratio) < TAIL_TOL:
+            if ratio < 1.0 and amp * lead / (1.0 - ratio) < TAIL_TOL:
                 return k
         raise InputError("kernel truncation order exceeds 200; variance too large")
 
@@ -116,8 +121,11 @@ def regularity_bound(t: float, sigma_lo2: float, leb: float) -> float:
                / (1 - exp(-pi^2 / (lo2*t))).
     The exponential factor is enormous for small lo2*t, so the bound is only
     informative once it drops below 1; it vanishes linearly as leb -> 0 either
-    way, which is the point of the estimate.
+    way, which is the point of the estimate.  Where the exponential overflows
+    or the denominator underflows to 0 the bound is infinite.
     """
+    if not (math.isfinite(t) and math.isfinite(sigma_lo2) and math.isfinite(leb)):
+        raise InputError(f"t, sigma_lo2 and leb must be finite; got t={t}, sigma_lo2={sigma_lo2}, leb={leb}")
     if t <= 0:
         raise InputError("t must be > 0")
     if sigma_lo2 <= 0:
@@ -129,6 +137,9 @@ def regularity_bound(t: float, sigma_lo2: float, leb: float) -> float:
     vt = sigma_lo2 * t
     try:
         grow = math.exp((TWO_PI**2) / (2.0 * vt))
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return math.inf
-    return leb / math.sqrt(TWO_PI * vt) * grow / (1.0 - math.exp(-(math.pi**2) / vt))
+    denom = 1.0 - math.exp(-(math.pi**2) / vt)
+    if denom == 0.0:
+        return math.inf
+    return leb / math.sqrt(TWO_PI * vt) * grow / denom

@@ -48,9 +48,9 @@ from ergolab.credal import PriorSet, ProbVector, Rv, upper_exp
 from ergolab.finite import (
     enumerate_preserving_systems,
     fixed_space_audit,
-    grand_orbits,
     is_ergodic,
     maximal_ergodic_check,
+    orbit_decomposition,
     random_preserving_system,
     slln_audit,
     indecomposability_audit,
@@ -145,9 +145,9 @@ def test_criterion_02_slln_exact_on_sweep():
             if rep.bad_capacity > 1e-12:
                 violations.append((sys_, x, rep.bad_capacity))
         # a payoff fixed along the map: constant on each grand-orbit class
-        part = grand_orbits(sys_.theta)
-        labels = rng.uniform(-1.0, 1.0, len(part.classes))
-        xf = Rv(tuple(labels[np.asarray(part.class_of)]))
+        class_of = orbit_decomposition(sys_.theta).class_of
+        labels = rng.uniform(-1.0, 1.0, max(class_of) + 1)
+        xf = Rv(tuple(labels[np.asarray(class_of)]))
         rep = slln_audit(sys_, xf)
         if not rep.theta_fixed_qs or rep.fixed_bad_capacity > 1e-12:
             violations.append((sys_, xf, "fixed payoff equality"))

@@ -261,10 +261,13 @@ class TestInputErrors:
             ["mc-slln", "--t", "1", "--sigma-hi2", "inf"],
             ["gheat", "solve", "--t", "1e300"],
             ["gheat", "solve", "--t", "0.01", "--sigma-hi2", "1e308"],
+            ["mc-slln", "--t", "1e300"],
+            ["mc-slln", "--t", "1e300", "--dt", "1e-300"],
         ],
         ids=["solve-t-nan", "solve-t-inf", "steady-t-nan", "converge-times-nan", "invariant-deltas-inf",
              "xcheck-t-nan", "mc-slln-t-nan", "mc-slln-dt-nan", "indicator-nan", "solve-hi2-inf",
-             "steady-hi2-inf", "xcheck-hi2-inf", "mc-slln-hi2-inf", "solve-t-1e300", "solve-hi2-1e308"],
+             "steady-hi2-inf", "xcheck-hi2-inf", "mc-slln-hi2-inf", "solve-t-1e300", "solve-hi2-1e308",
+             "mc-slln-t-1e300", "mc-slln-dt-1e-300"],
     )
     def test_non_finite_time_or_arc_exit_2(self, capsys, argv):
         assert run(argv) == 2
@@ -316,6 +319,13 @@ class TestInputErrors:
         # rejected while parsing, before the default 10^4-horizon experiment runs
         assert run(["mc-slln", "--policies", policies]) == 2
         assert "input error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "policies", ["constant:1.0:junk", "greedy-bang-bang:5", "random-switching:1:0:9", "threshold-feedback:0:0"]
+    )
+    def test_extra_policy_fields_exit_2(self, capsys, policies):
+        assert run(["mc-slln", "--policies", policies]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: bad policy {policies!r}")
 
     def test_policy_fields_take_factory_defaults(self):
         params = GHeatParams(0.25, 1.0)

@@ -26,14 +26,12 @@ from ergolab.finite import (
     MAX_ENUM_BITS,
     FiniteMap,
     FixedSpaceReport,
-    GrandOrbitPartition,
     IndecomposabilityReport,
     SllnReport,
     FiniteSystem,
     all_maps,
     enumerate_preserving_systems,
     fixed_space_audit,
-    grand_orbits,
     hull_distance,
     hull_vertices,
     invariant_prior_set,
@@ -307,7 +305,6 @@ def _two_point_priors():
 #: a stream of distinct cheap keys for every cached function in the package
 CACHE_KEYS = {
     "ergolab.finite.orbit_decomposition": lambda: ((theta,) for theta in all_maps(5)),
-    "ergolab.finite.grand_orbits": lambda: ((theta,) for theta in all_maps(5)),
     "ergolab.finite.hull_vertices": lambda: ((priors,) for priors in _two_point_priors()),
     "ergolab.finite._system_facts": lambda: (
         (FiniteSystem(2, priors, FiniteMap((0, 1))),) for priors in _two_point_priors()
@@ -334,6 +331,15 @@ def cycle_means(dec, x: Rv) -> np.ndarray:
     vals = x.as_array()
     per_cycle = [float(np.mean(vals[list(c)])) for c in dec.cycles]
     return np.asarray([per_cycle[ci] for ci in dec.cycle_index])
+
+
+def orbit_classes(theta: FiniteMap) -> tuple[tuple[int, ...], tuple[EventSet, ...]]:
+    """orbit_decomposition's grand orbits as ref_grand_orbits returns them: (class_of, classes)."""
+    dec = orbit_decomposition(theta)
+    classes = tuple(
+        EventSet(theta.n, frozenset(i for i, c in enumerate(dec.class_of) if c == k)) for k in range(len(dec.cycles))
+    )
+    return dec.class_of, classes
 
 
 # The route the per-system cache replaced, copied verbatim except that each
@@ -368,11 +374,11 @@ def ref_constant_quasi_surely(sys: FiniteSystem, values: np.ndarray) -> bool:
 
 def ref_fixed_space_audit(sys: FiniteSystem, random_payoffs: int = 5, seed: int = 0) -> FixedSpaceReport:
     ref_require_preserving(sys)
-    part = grand_orbits(sys.theta)
-    k = len(part.classes)
+    class_of, classes = ref_grand_orbits(sys.theta)
+    k = len(classes)
     if k > MAX_ENUM_BITS:
         raise InputError(f"enumeration budget exceeded: {k} orbit classes")
-    class_of = np.asarray(part.class_of)
+    class_of = np.asarray(class_of)
     simple = True
     for bits in range(1 << k):
         labels = np.asarray([(bits >> j) & 1 for j in range(k)], dtype=float)
@@ -464,7 +470,7 @@ class TestSystemCacheDifferential:
     @staticmethod
     def payoffs(sys_, rng, count=3):
         """Seeded random payoffs plus one theta-fixed (grand-orbit-class-constant) payoff."""
-        class_of = np.asarray(grand_orbits(sys_.theta).class_of)
+        class_of = np.asarray(orbit_decomposition(sys_.theta).class_of)
         rows = [rng.uniform(-1.0, 1.0, sys_.n) for _ in range(count)]
         rows.append(rng.uniform(-1.0, 1.0, int(class_of.max()) + 1)[class_of])
         return [Rv(tuple(r)) for r in rows]
@@ -508,14 +514,15 @@ class TestSystemCacheDifferential:
 
 # The union-find grand orbits, the invariant-set enumerations and the
 # integer-bitmask subset tables that the cycle-decomposition route replaced,
-# copied verbatim except that each name carries a ref_ prefix.  The old
-# ergodicity verdict (a cached property of the per-system facts) is copied as
-# ref_facts_ergodic, and ref_orbit_fixed_space_audit reads it instead of
-# facts.ergodic.
+# copied verbatim except that each name carries a ref_ prefix and the grand
+# orbits are a (class_of, classes) pair.  The old ergodicity verdict (a
+# cached property of the per-system facts) is copied as ref_facts_ergodic,
+# and ref_orbit_fixed_space_audit decides the 0/1 stage on every labeling and
+# reads ref_facts_ergodic instead of facts.ergodic.
 
 
-def ref_grand_orbits(theta: FiniteMap) -> GrandOrbitPartition:
-    """Connected components of the undirected functional graph {i -- theta(i)}."""
+def ref_grand_orbits(theta: FiniteMap) -> tuple[tuple[int, ...], tuple[EventSet, ...]]:
+    """Connected components of the undirected functional graph {i -- theta(i)}, as (class_of, classes)."""
     n = theta.n
     parent = list(range(n))
 
@@ -535,15 +542,15 @@ def ref_grand_orbits(theta: FiniteMap) -> GrandOrbitPartition:
     classes = tuple(
         EventSet(n, frozenset(i for i in range(n) if class_of[i] == k)) for k in range(len(roots))
     )
-    return GrandOrbitPartition(class_of, classes)
+    return class_of, classes
 
 
-def ref_enumerable_orbits(sys: FiniteSystem) -> GrandOrbitPartition:
+def ref_enumerable_orbits(sys: FiniteSystem) -> tuple[tuple[int, ...], tuple[EventSet, ...]]:
     """The grand-orbit partition, if its 2^k unions are within the enumeration budget."""
     if sys.n > 24:
         raise InputError("enumeration budget exceeded: n must be <= 24")
     part = ref_grand_orbits(sys.theta)
-    k = len(part.classes)
+    k = len(part[1])
     if k > MAX_ENUM_BITS:
         raise InputError(f"enumeration budget exceeded: {k} orbit classes")
     return part
@@ -551,9 +558,9 @@ def ref_enumerable_orbits(sys: FiniteSystem) -> GrandOrbitPartition:
 
 def ref_facts_ergodic(sys: FiniteSystem, matrix: np.ndarray) -> bool:
     """Every invariant set, a union of grand-orbit classes, is polar or co-polar."""
-    part = ref_enumerable_orbits(sys)
-    class_of = np.asarray(part.class_of)
-    for bits in range(1 << len(part.classes)):
+    class_of, classes = ref_enumerable_orbits(sys)
+    class_of = np.asarray(class_of)
+    for bits in range(1 << len(classes)):
         inside = ((bits >> class_of) & 1) == 1
         if (
             finite._upper_capacity(matrix, inside) > TOL_SIMPLEX
@@ -565,14 +572,14 @@ def ref_facts_ergodic(sys: FiniteSystem, matrix: np.ndarray) -> bool:
 
 def ref_invariant_sets(sys: FiniteSystem) -> list[EventSet]:
     """All B with theta^{-1}(B) = B, as unions of grand-orbit classes."""
-    part = ref_enumerable_orbits(sys)
-    k = len(part.classes)
+    _, classes = ref_enumerable_orbits(sys)
+    k = len(classes)
     out = []
     for bits in range(1 << k):
         members: set[int] = set()
         for j in range(k):
             if bits >> j & 1:
-                members |= part.classes[j].members
+                members |= classes[j].members
         out.append(EventSet(sys.n, frozenset(members)))
     return out
 
@@ -581,11 +588,11 @@ def ref_orbit_fixed_space_audit(
     sys: FiniteSystem, random_payoffs: int = 5, seed: int = 0
 ) -> FixedSpaceReport:
     facts = finite._require_preserving(sys)
-    part = ref_grand_orbits(sys.theta)
-    k = len(part.classes)
+    class_of, classes = ref_grand_orbits(sys.theta)
+    k = len(classes)
     if k > MAX_ENUM_BITS:
         raise InputError(f"enumeration budget exceeded: {k} orbit classes")
-    class_of = np.asarray(part.class_of)
+    class_of = np.asarray(class_of)
     simple = True
     for bits in range(1 << k):
         labels = np.asarray([(bits >> j) & 1 for j in range(k)], dtype=float)
@@ -709,7 +716,7 @@ class TestOrbitTableDifferential:
         count = 0
         for n in range(1, 7):
             for theta in all_maps(n):
-                assert grand_orbits(theta) == ref_grand_orbits(theta), theta
+                assert orbit_classes(theta) == ref_grand_orbits(theta), theta
                 count += 1
         assert count == 50069
 
@@ -1009,7 +1016,7 @@ class TestNumpyOverheadDifferential:
         systems += [random_preserving_system(int(rng.integers(1, 9)), rng) for _ in range(300)]
         for sys_ in systems:
             matrix = finite._system_facts(sys_).matrix
-            class_of = np.asarray(grand_orbits(sys_.theta).class_of)
+            class_of = np.asarray(orbit_decomposition(sys_.theta).class_of)
             k = int(class_of.max()) + 1
             for _ in range(4):
                 labels = rng.choice(labels_pool, k)
@@ -1043,7 +1050,7 @@ class TestFiniteMapEntries:
 
 
 class TestMapCaches:
-    @pytest.mark.parametrize("cached", [orbit_decomposition, grand_orbits])
+    @pytest.mark.parametrize("cached", [orbit_decomposition])
     def test_cache_is_bounded(self, cached):
         maxsize = cached.cache_info().maxsize
         assert maxsize is not None and maxsize >= 4**4
@@ -1069,6 +1076,17 @@ class TestMapCaches:
         with pytest.raises(ValueError):
             matrix[0, 0] = 0.0
 
+    def test_shared_cycle_arrays_are_read_only(self):
+        dec = orbit_decomposition(FiniteMap((1, 0, 2, 3, 2)))
+        index, by_length = dec.cycle_arrays
+        arrays = [index, *(a for pair in by_length for a in pair)]
+        assert len(arrays) == 5  # the index, and the ids and members of the 1- and 2-cycles
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+        assert dec.cycle_arrays is orbit_decomposition(FiniteMap((1, 0, 2, 3, 2))).cycle_arrays
+
     def test_non_preserving_system_raises_after_a_preserving_one_is_cached(self):
         preserving = FiniteSystem(2, PriorSet(((0.5, 0.5),)), FiniteMap((1, 0)))
         swapped = FiniteSystem(2, PriorSet(((0.3, 0.7),)), FiniteMap((1, 0)))
@@ -1083,17 +1101,17 @@ class TestMapCaches:
 
 class TestGrandOrbits:
     def test_three_cycle_single_class(self):
-        part = grand_orbits(CYCLE3)
-        assert len(part.classes) == 1
-        assert part.classes[0].members == frozenset({0, 1, 2})
+        _, classes = orbit_classes(CYCLE3)
+        assert len(classes) == 1
+        assert classes[0].members == frozenset({0, 1, 2})
 
     def test_identity_singletons(self):
-        part = grand_orbits(FiniteMap((0, 1, 2)))
-        assert [c.members for c in part.classes] == [frozenset({0}), frozenset({1}), frozenset({2})]
+        _, classes = orbit_classes(FiniteMap((0, 1, 2)))
+        assert [c.members for c in classes] == [frozenset({0}), frozenset({1}), frozenset({2})]
 
     def test_swap_plus_fixed_point(self):
-        part = grand_orbits(FiniteMap((1, 0, 2)))
-        assert {frozenset(c.members) for c in part.classes} == {
+        _, classes = orbit_classes(FiniteMap((1, 0, 2)))
+        assert {frozenset(c.members) for c in classes} == {
             frozenset({0, 1}),
             frozenset({2}),
         }
@@ -1102,11 +1120,11 @@ class TestGrandOrbits:
     @settings(max_examples=30, deadline=None)
     def test_unions_of_classes_are_exactly_preimage_fixed_sets(self, theta):
         n = theta.n
-        part = grand_orbits(theta)
+        _, classes = orbit_classes(theta)
         union_masks = set()
-        for bits in range(1 << len(part.classes)):
+        for bits in range(1 << len(classes)):
             members = frozenset().union(
-                *(part.classes[j].members for j in range(len(part.classes)) if bits >> j & 1),
+                *(classes[j].members for j in range(len(classes)) if bits >> j & 1),
                 frozenset(),
             )
             union_masks.add(members)

@@ -90,6 +90,11 @@ class TestSimulatePath:
         with pytest.raises(InputError, match="must be finite"):
             simulate_path(constant_policy(PARAMS, 1.0), 0.0, horizon, dt, 1)
 
+    @pytest.mark.parametrize("horizon, dt", [(1e300, 0.01), (1e300, 1e-300), (1.0, 1e-300)])
+    def test_step_count_past_maxsize_rejected(self, horizon, dt):
+        with pytest.raises(InputError, match="takes more than"):
+            simulate_path(constant_policy(PARAMS, 1.0), 0.0, horizon, dt, 1)
+
     def test_positions_stay_on_circle(self):
         for policy in default_policy_suite(PARAMS):
             path = simulate_path(policy, 0.0, 50.0, 0.01, 3)

@@ -28,6 +28,37 @@ class TestWrappedGauss:
         with pytest.raises(InputError):
             WrappedKernelSpec(1.0, 0.0)
 
+    @pytest.mark.parametrize("sigma2, t", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)])
+    def test_non_finite_spec_rejected(self, sigma2, t):
+        with pytest.raises(InputError, match="must be finite"):
+            WrappedKernelSpec(sigma2, t)
+
+    def test_underflowing_variance_rejected(self):
+        with pytest.raises(InputError, match="underflows to 0"):
+            WrappedKernelSpec(1e-300, 1e-300)
+
+    @pytest.mark.parametrize("sigma2, t", [(1.0, 1e300), (1e200, 1e200), (1.0, 1e18)])
+    def test_ratio_rounding_to_one_is_variance_too_large(self, sigma2, t):
+        # exp(-(2*pi)^2 (2K+1) / (2 v)) rounds to 1 for every K <= 200
+        with pytest.raises(InputError, match="variance too large"):
+            WrappedKernelSpec(sigma2, t).truncation_order
+
+    def test_truncation_order_matches_unguarded_loop(self):
+        def ref_truncation_order(v):
+            amp = 2.0 / math.sqrt(2.0 * math.pi * v)
+            for k in range(1, 201):
+                lead = math.exp(-((2.0 * math.pi * k) ** 2) / (2.0 * v))
+                ratio = math.exp(-((2.0 * math.pi) ** 2) * (2 * k + 1) / (2.0 * v))
+                if amp * lead / (1.0 - ratio) < 1e-15:
+                    return k
+            return None
+
+        orders = set()
+        for v in [*np.logspace(-8, 4, 400).tolist(), 0.25 * 1e-3, 1.0, 0.49, 30.0]:
+            orders.add(WrappedKernelSpec(v, 1.0).truncation_order)
+            assert WrappedKernelSpec(v, 1.0).truncation_order == ref_truncation_order(v), v
+        assert len(orders) > 10
+
     def test_unit_mass_by_trapezoid(self):
         spec = WrappedKernelSpec(0.3, 0.9)
         dens = wrapped_gauss(spec, 1.234, GRID512.nodes())
@@ -180,6 +211,23 @@ class TestRegularityBound:
             regularity_bound(0.0, 1.0, 0.1)
         with pytest.raises(InputError):
             regularity_bound(1.0, 1.0, -0.1)
+
+    @pytest.mark.parametrize(
+        "t, sigma_lo2, leb",
+        [(math.nan, 0.25, 0.1), (math.inf, 0.25, 0.1), (1.0, math.nan, 0.1), (1.0, math.inf, 0.1),
+         (1.0, 0.25, math.nan), (1.0, 0.25, math.inf)],
+    )
+    def test_non_finite_inputs_rejected(self, t, sigma_lo2, leb):
+        with pytest.raises(InputError, match="must be finite"):
+            regularity_bound(t, sigma_lo2, leb)
+
+    @pytest.mark.parametrize(
+        "t, sigma_lo2",
+        [(1e300, 0.25), (1e200, 1e200), (1e-300, 1e-300), (1e-3, 1e-3)],
+        ids=["denominator-underflows", "product-overflows", "product-underflows", "exponential-overflows"],
+    )
+    def test_infinite_where_the_closed_form_breaks_down(self, t, sigma_lo2):
+        assert regularity_bound(t, sigma_lo2, 0.1) == math.inf
 
 
 class TestStrongRegularityAudit:
