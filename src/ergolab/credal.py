@@ -131,6 +131,15 @@ class EventSet:
         return EventSet(self.n, frozenset(range(self.n)) - self.members)
 
 
+def _count(name: str, value, minimum: int = 1) -> int:
+    """A Python or numpy integer >= minimum, as an int; a bool, a float or a string is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer; got {value!r}")
+    if value < minimum:
+        raise InputError(f"{name} must be >= {minimum}")
+    return int(value)
+
+
 def _check_dims(prior_set: PriorSet, x: Rv) -> None:
     if prior_set.n != x.n:
         raise InputError(f"dimension mismatch: priors have n={prior_set.n}, payoff n={x.n}")
@@ -200,9 +209,8 @@ def mean_uncertainty_space_audit(prior_set: PriorSet, trials: int, seed: int) ->
     has_no_mean_uncertainty) and random reals lam1, lam2 of any sign, and
     asserts lam1*X1 + lam2*X2 also passes.
     """
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
+    trials = _count("trials", trials)
+    rng = np.random.default_rng(_count("seed", seed, minimum=0))
     basis = _certainty_basis(prior_set)
     violations: list[str] = []
     for k in range(trials):

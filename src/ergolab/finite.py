@@ -18,26 +18,35 @@ index arrays; every system with that map shares it.  What depends on the
 priors is settled once per system and kept in a second bounded cache: the
 preservation verdict, the prior matrix and, on first use, the ergodicity
 verdict, which the fixed-space and four-statement audits read rather than
-decide again.  Every upper capacity the audits need is read from that
-matrix as max(P @ 1_A) on a boolean mask, the same product that upper_exp
-forms on the event's indicator.  A payoff's cycle means are
-vals[members].sum(axis=1) / L per length group, which is np.mean of each
-cycle bit for bit: numpy reduces each row of a C-ordered array by the same
-pairwise sum as a 1-d array.  The per-call paths stay in plain Python where
-numpy's fixed cost per call would exceed the work on a few entries: the
-cycle decomposition walks the image tuple, probability vectors are
-validated on their tuple, generators and hull vertices are pushed forward
-on their weight tuples (np.add.at's additions, in its order), a payoff's
-theta-fixed test compares its value tuple along the image tuple, and the
-maximal check walks each point's partial sums.
-np.unique is avoided because it imports numpy.ma on first use, and maxima
+decide again.  The ergodicity verdict, fixed_space_audit and slln_audit
+name each event by its ascending member tuple and read its upper capacity
+from a third bounded cache, keyed by (system facts, members): a miss forms
+max(P @ 1_A) on the event's boolean mask, the same product that upper_exp
+forms on its indicator, so each event of a system is evaluated once and
+every value is bit for bit upper_exp's.  The cache is not filled from one
+matrix product over all subsets: a gemm may sum in another order than the
+per-event gemv and differ in the last bit.  slln_audit's envelope is one
+product pv = P @ x, lower = min(pv) and upper = max(pv); negation commutes
+with round to nearest, so min(P @ x) equals -max(P @ -x), and both ends
+equal lower_exp and upper_exp up to the sign of a zero.  A payoff's cycle
+means are vals[members].sum(axis=1) / L per length group, which is np.mean
+of each cycle bit for bit: numpy reduces each row of a C-ordered array by
+the same pairwise sum as a 1-d array.  The per-call paths stay in plain
+Python where numpy's fixed cost per call would exceed the work on a few
+entries: the cycle decomposition walks the image tuple, probability vectors
+are validated on their tuple, generators and hull vertices are pushed
+forward on their weight tuples (np.add.at's additions, in its order),
+events are member tuples built from value lists, the envelope's ends are
+Python min and max of one product's entries, and the maximal check walks
+each point's partial sums.  np.unique is avoided because it imports numpy.ma on first use, and maxima
 and sums call np.maximum.reduce and np.add.reduce, the ufunc reduction that
 ndarray.max() and .sum() reach through a Python wrapper.
 
 The invariant sets, the unions of grand orbits, are enumerated by one
-generator of boolean masks that the ergodicity verdict and invariant_sets
-share.  The four-statement audit builds one table per system holding the
-capacity and the theta-preimage bitmask of every subset.
+generator of (inside, outside) member tuples, built in Python from the
+grand-orbit labels, that the ergodicity verdict and invariant_sets share.
+The four-statement audit builds one table per system holding the capacity
+and the theta-preimage bitmask of every subset.
 
 On a finite space every orbit is preperiodic, so Birkhoff averages are exact
 cycle means, monotone limits of sets are attained after finitely many steps,
@@ -64,6 +73,7 @@ from .credal import (
     PriorSet,
     ProbVector,
     Rv,
+    _count,
 )
 
 #: L-infinity tolerance for convex-hull membership decisions
@@ -106,15 +116,6 @@ class FiniteMap:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.image, dtype=np.intp)
-
-
-def _count(name: str, value) -> int:
-    """A Python or numpy integer >= 1, as an int; a bool, a float or a string is rejected as FiniteMap does."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InputError(f"{name} must be an integer; got {value!r}")
-    if value < 1:
-        raise InputError(f"{name} must be >= 1")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -201,6 +202,9 @@ VERTEX_CACHE_SIZE = 256
 
 #: cache size of the per-system facts; an audit run reads one system at a time
 SYSTEM_CACHE_SIZE = 256
+
+#: cache size of the event capacities, keyed by (system facts, member tuple)
+CAPACITY_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
@@ -336,7 +340,13 @@ def _upper_capacity(matrix: np.ndarray, mask: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class _SystemFacts:
-    """What the audits of one system share beyond its map's orbits: settled once per system."""
+    """What the audits of one system share beyond its map's orbits: settled once per system.
+
+    eq=False makes the facts hash by identity, so they key the event-capacity
+    cache cheaply; each system has one facts object while it stays cached.
+    Every capacity the ergodicity verdict, fixed_space_audit and slln_audit
+    read comes from _event_capacity(facts, members).
+    """
 
     sys: FiniteSystem
     preserving: bool
@@ -345,13 +355,18 @@ class _SystemFacts:
     @cached_property
     def ergodic(self) -> bool:
         """Every invariant set, a union of grand-orbit classes, is polar or co-polar."""
-        for inside in _invariant_masks(self.sys):
-            if (
-                _upper_capacity(self.matrix, inside) > TOL_SIMPLEX
-                and _upper_capacity(self.matrix, ~inside) > TOL_SIMPLEX
-            ):
+        for inside, outside in _invariant_unions(self.sys):
+            if _event_capacity(self, inside) > TOL_SIMPLEX and _event_capacity(self, outside) > TOL_SIMPLEX:
                 return False
         return True
+
+
+@lru_cache(maxsize=CAPACITY_CACHE_SIZE)
+def _event_capacity(facts: _SystemFacts, members: tuple[int, ...]) -> float:
+    """Upper capacity of the event with the given ascending members, computed once per system."""
+    mask = np.zeros(facts.sys.n, dtype=bool)
+    mask[list(members)] = True
+    return _upper_capacity(facts.matrix, mask)
 
 
 @lru_cache(maxsize=SYSTEM_CACHE_SIZE)
@@ -368,22 +383,26 @@ def _require_preserving(sys: FiniteSystem) -> _SystemFacts:
     return facts
 
 
-def _invariant_masks(sys: FiniteSystem):
-    """Boolean masks of all B with theta^{-1}(B) = B, the 2^k unions of grand-orbit classes."""
+def _invariant_unions(sys: FiniteSystem):
+    """Ascending (inside, outside) members of all B with theta^{-1}(B) = B, the 2^k unions of grand-orbit classes."""
     if sys.n > 24:
         raise InputError("enumeration budget exceeded: n must be <= 24")
     dec = orbit_decomposition(sys.theta)
     k = len(dec.cycles)
     if k > MAX_ENUM_BITS:
         raise InputError(f"enumeration budget exceeded: {k} orbit classes")
-    class_of = np.asarray(dec.class_of)
+    class_of = dec.class_of
     for bits in range(1 << k):
-        yield ((bits >> class_of) & 1) == 1
+        inside: list[int] = []
+        outside: list[int] = []
+        for i, c in enumerate(class_of):
+            (inside if bits >> c & 1 else outside).append(i)
+        yield tuple(inside), tuple(outside)
 
 
 def invariant_sets(sys: FiniteSystem) -> list[EventSet]:
     """All B with theta^{-1}(B) = B, as unions of grand-orbit classes."""
-    return [EventSet(sys.n, frozenset(np.flatnonzero(inside))) for inside in _invariant_masks(sys)]
+    return [EventSet(sys.n, frozenset(inside)) for inside, _ in _invariant_unions(sys)]
 
 
 def is_ergodic(sys: FiniteSystem) -> bool:
@@ -404,11 +423,12 @@ class FixedSpaceReport:
         return self.simple == self.ergodic
 
 
-def _constant_quasi_surely(matrix: np.ndarray, values: np.ndarray) -> bool:
+def _constant_quasi_surely(facts: _SystemFacts, values: list[float]) -> bool:
     """Whether the payoff equals some constant off a polar set."""
     # not np.unique: it imports numpy.ma on first use, to ask np.ma.is_masked
-    for v in sorted(set(values.tolist())):
-        if _upper_capacity(matrix, np.abs(values - v) > 0) <= TOL_SIMPLEX:
+    for v in sorted(set(values)):
+        off = tuple(i for i, w in enumerate(values) if w != v)
+        if _event_capacity(facts, off) <= TOL_SIMPLEX:
             return True
     return False
 
@@ -422,18 +442,19 @@ def fixed_space_audit(sys: FiniteSystem) -> FixedSpaceReport:
     random class-constant payoffs drawn with FIXED_SPACE_SEED.  The 0/1
     labelings are the indicators of the invariant sets B, and 1_B is constant
     quasi-surely iff B or its complement is polar, so that stage reads the
-    system's ergodicity verdict.
+    system's ergodicity verdict.  The random payoffs run only on an ergodic
+    system, and each event they ask about, {f != v}, is a union of classes
+    whose capacity the verdict has already put in the event-capacity cache.
     """
     facts = _require_preserving(sys)
     dec = orbit_decomposition(sys.theta)
     k = len(dec.cycles)
     simple = facts.ergodic
     if simple:
-        class_of = np.asarray(dec.class_of)
         rng = np.random.default_rng(FIXED_SPACE_SEED)
         for _ in range(FIXED_SPACE_PAYOFFS):
-            labels = rng.uniform(-1.0, 1.0, k)
-            if not _constant_quasi_surely(facts.matrix, labels[class_of]):
+            labels = rng.uniform(-1.0, 1.0, k).tolist()
+            if not _constant_quasi_surely(facts, [labels[c] for c in dec.class_of]):
                 simple = False
                 break
     return FixedSpaceReport(dimension=k, simple=simple, ergodic=facts.ergodic)
@@ -476,39 +497,46 @@ def slln_audit(sys: FiniteSystem, x: Rv) -> SllnReport:
     checks that the cycle mean equals upper_exp(x) off a polar set.
 
     Ergodicity is a property of the system, not of the payoff, so it is
-    decided once per system and reused for every payoff.  The envelope and
-    every capacity are read from the system's cached prior matrix, bit for
-    bit what lower_exp, upper_exp and the event indicators would give, and
-    the cycle means from the map's cached orbit decomposition.
+    decided once per system and reused for every payoff.  The cycle means
+    come from the map's cached orbit decomposition.  The envelope is one
+    product pv = P @ x with lower = min(pv) and upper = max(pv), taken in
+    Python on its few entries: round to nearest is symmetric under
+    negation, so min(P @ x) equals the -max(P @ -x) that lower_exp
+    computes, and max(pv) equals upper_exp, up to the sign of a zero.  The
+    three events (escaping points, moved points, and, for a theta-fixed
+    payoff, points whose mean misses upper) are member tuples whose
+    capacities come from the system's event-capacity cache, bit for bit the
+    product upper_exp forms on the event's indicator.
     """
     facts = _require_preserving(sys)
     if x.n != sys.n:
         raise InputError("payoff dimension mismatch")
     vals = x.as_array()
-    means = orbit_decomposition(sys.theta).cycle_means(vals)
-    lo = -float(np.maximum.reduce(facts.matrix @ -vals))
-    hi = float(np.maximum.reduce(facts.matrix @ vals))
-    bad = (means < lo - TOL_DERIVED) | (means > hi + TOL_DERIVED)
-    bad_cap = _upper_capacity(facts.matrix, bad)
+    means = orbit_decomposition(sys.theta).cycle_means(vals).tolist()
+    pv = (facts.matrix @ vals).tolist()
+    lo, hi = min(pv), max(pv)
+    below, above = lo - TOL_DERIVED, hi + TOL_DERIVED
+    bad_members = tuple(i for i, m in enumerate(means) if m < below or m > above)
+    bad_cap = _event_capacity(facts, bad_members)
 
-    moved = np.asarray([abs(x.values[j] - v) > TOL_SIMPLEX for j, v in zip(sys.theta.image, x.values)])
-    theta_fixed_qs = _upper_capacity(facts.matrix, moved) <= TOL_SIMPLEX
+    xv = x.values
+    moved = tuple(i for i, (j, v) in enumerate(zip(sys.theta.image, xv)) if abs(xv[j] - v) > TOL_SIMPLEX)
+    theta_fixed_qs = _event_capacity(facts, moved) <= TOL_SIMPLEX
 
     fixed_bad_members: tuple[int, ...] = ()
     fixed_bad_cap = 0.0
     equality: bool | None = None
     if theta_fixed_qs:
-        fb = np.abs(means - hi) > 1e-9
-        fixed_bad_members = tuple(fb.nonzero()[0].tolist())
-        fixed_bad_cap = _upper_capacity(facts.matrix, fb)
+        fixed_bad_members = tuple(i for i, m in enumerate(means) if abs(m - hi) > 1e-9)
+        fixed_bad_cap = _event_capacity(facts, fixed_bad_members)
         equality = fixed_bad_cap <= TOL_SIMPLEX
 
     return SllnReport(
         ergodic=facts.ergodic,
         lower=lo,
         upper=hi,
-        cycle_means=tuple(means.tolist()),
-        bad_members=tuple(bad.nonzero()[0].tolist()),
+        cycle_means=tuple(means),
+        bad_members=bad_members,
         bad_capacity=bad_cap,
         bounds_hold_qs=bad_cap <= TOL_SIMPLEX,
         theta_fixed_qs=theta_fixed_qs,

@@ -181,6 +181,15 @@ def simulate_path(policy: VolPolicy, x0: float, horizon: float, dt: float, seed:
     x0 = float(np.mod(x0, TWO_PI))
     if n_steps == 0:
         return PathSample(dt, np.asarray([x0]), seed)
+    try:
+        positions = _path_positions(policy, x0, n_steps, dt, seed)
+    except MemoryError as exc:
+        raise InputError(f"horizon={horizon} at dt={dt:g} takes {n_steps} steps, more than memory holds") from exc
+    return PathSample(dt, positions, seed)
+
+
+def _path_positions(policy: VolPolicy, x0: float, n_steps: int, dt: float, seed: int) -> np.ndarray:
+    """The n_steps + 1 positions of simulate_path; the noise stream and the path are allocated whole."""
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(n_steps)
     sq = math.sqrt(dt)
@@ -191,8 +200,7 @@ def simulate_path(policy: VolPolicy, x0: float, horizon: float, dt: float, seed:
         else:
             sig = _switching_sigma_per_step(policy, n_steps, dt)
         increments = sig * sq * noise
-        pos = np.mod(x0 + np.concatenate([[0.0], np.cumsum(increments)]), TWO_PI)
-        return PathSample(dt, pos, seed)
+        return np.mod(x0 + np.concatenate([[0.0], np.cumsum(increments)]), TWO_PI)
 
     # feedback: high volatility where sign * cos(x) > level on the current
     # state; greedy's cos(x) < 0 is where cos has positive curvature
@@ -205,7 +213,7 @@ def simulate_path(policy: VolPolicy, x0: float, horizon: float, dt: float, seed:
         s = hi if sign * math.cos(x) > level else lo
         x = (x + s * sq * z) % TWO_PI
         out[k + 1] = x
-    return PathSample(dt, out, seed)
+    return out
 
 
 def time_average(path: PathSample, phi: GridFn) -> float:

@@ -263,11 +263,12 @@ class TestInputErrors:
             ["gheat", "solve", "--t", "0.01", "--sigma-hi2", "1e308"],
             ["mc-slln", "--t", "1e300"],
             ["mc-slln", "--t", "1e300", "--dt", "1e-300"],
+            ["mc-slln", "--t", "1e14", "--dt", "1e-3", "--seeds", "1", "--policies", "constant"],
         ],
         ids=["solve-t-nan", "solve-t-inf", "steady-t-nan", "converge-times-nan", "invariant-deltas-inf",
              "xcheck-t-nan", "mc-slln-t-nan", "mc-slln-dt-nan", "indicator-nan", "solve-hi2-inf",
              "steady-hi2-inf", "xcheck-hi2-inf", "mc-slln-hi2-inf", "solve-t-1e300", "solve-hi2-1e308",
-             "mc-slln-t-1e300", "mc-slln-dt-1e-300"],
+             "mc-slln-t-1e300", "mc-slln-dt-1e-300", "mc-slln-t-1e14"],
     )
     def test_non_finite_time_or_arc_exit_2(self, capsys, argv):
         assert run(argv) == 2

@@ -311,6 +311,26 @@ class TestAudits:
             report = mean_uncertainty_space_audit(priors, trials=300, seed=5)
             assert report.ok, report.violations
 
+    @pytest.mark.parametrize("trials", [True, np.bool_(True), 2.5, 2.0, "2", None], ids=repr)
+    def test_non_integer_trials_rejected(self, trials):
+        with pytest.raises(InputError, match="trials must be an integer"):
+            mean_uncertainty_space_audit(VERTEX2, trials=trials, seed=5)
+
+    @pytest.mark.parametrize("seed", [True, 1.5, "5", None], ids=repr)
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(InputError, match="seed must be an integer"):
+            mean_uncertainty_space_audit(VERTEX2, trials=3, seed=seed)
+
+    @pytest.mark.parametrize("trials, seed, message", [(0, 5, "trials must be >= 1"), (3, -1, "seed must be >= 0")])
+    def test_counts_out_of_range_rejected(self, trials, seed, message):
+        with pytest.raises(InputError, match=message):
+            mean_uncertainty_space_audit(VERTEX2, trials=trials, seed=seed)
+
+    def test_seed_zero_and_numpy_integers_accepted(self):
+        report = mean_uncertainty_space_audit(VERTEX2, trials=np.int64(3), seed=np.int32(0))
+        assert report == mean_uncertainty_space_audit(VERTEX2, trials=3, seed=0)
+        assert type(report.trials) is int
+
     def test_constants_are_certain_and_combine(self):
         x1 = Rv((1.0, 1.0))
         x2 = Rv((-2.0, -2.0))

@@ -309,8 +309,17 @@ CACHE_KEYS = {
     "ergolab.finite._system_facts": lambda: (
         (FiniteSystem(2, priors, FiniteMap((0, 1))),) for priors in _two_point_priors()
     ),
+    "ergolab.finite._event_capacity": lambda: _subsets_of_one_system(13),
     "ergolab.wrapped.kernel_row": lambda: ((16, 1.0, 0.01 * j) for j in itertools.count(1)),
 }
+
+
+def _subsets_of_one_system(n):
+    """(facts, members) for all 2^n subsets of the uniform n-cycle: 8,192 distinct keys at n = 13."""
+    priors = PriorSet((ProbVector(tuple(1.0 / n for _ in range(n))),))
+    facts = finite._system_facts(FiniteSystem(n, priors, FiniteMap(tuple((i + 1) % n for i in range(n)))))
+    for bits in range(1 << n):
+        yield facts, tuple(i for i in range(n) if bits >> i & 1)
 
 
 def package_caches():
@@ -596,14 +605,14 @@ def ref_orbit_fixed_space_audit(
     simple = True
     for bits in range(1 << k):
         labels = np.asarray([(bits >> j) & 1 for j in range(k)], dtype=float)
-        if not finite._constant_quasi_surely(facts.matrix, labels[class_of]):
+        if not finite._constant_quasi_surely(facts, labels[class_of].tolist()):
             simple = False
             break
     if simple:
         rng = np.random.default_rng(seed)
         for _ in range(random_payoffs):
             labels = rng.uniform(-1.0, 1.0, k)
-            if not finite._constant_quasi_surely(facts.matrix, labels[class_of]):
+            if not finite._constant_quasi_surely(facts, labels[class_of].tolist()):
                 simple = False
                 break
     return FixedSpaceReport(dimension=k, simple=simple, ergodic=ref_facts_ergodic(sys, facts.matrix))
@@ -1022,10 +1031,140 @@ class TestNumpyOverheadDifferential:
                 labels = rng.choice(labels_pool, k)
                 labels[rng.uniform(size=k) < 0.2] = rng.uniform(-1.0, 1.0)
                 values = labels[class_of]
-                verdict = finite._constant_quasi_surely(matrix, values)
+                verdict = finite._constant_quasi_surely(finite._system_facts(sys_), values.tolist())
                 assert verdict == ref_unique_constant_quasi_surely(matrix, values), (sys_, values)
                 verdicts.add(verdict)
         assert verdicts == {True, False}
+
+
+def subsets(n):
+    """(ascending members, boolean mask) of every subset of {0, ..., n-1}."""
+    for bits in range(1 << n):
+        members = tuple(i for i in range(n) if bits >> i & 1)
+        mask = np.zeros(n, dtype=bool)
+        mask[list(members)] = True
+        yield members, mask
+
+
+def float_bytes(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def capacity_test_systems():
+    """Every preserving system with n <= 4, seeded random preserving systems with n <= 8, and random_pair sets."""
+    for n in (1, 2, 3, 4):
+        yield from enumerate_preserving_systems(n)
+    rng = np.random.default_rng(20241)
+    for _ in range(500):
+        yield random_preserving_system(int(rng.integers(1, 9)), rng)
+    for _ in range(300):
+        yield random_pair(rng)
+
+
+def envelope_payoffs(rng, n):
+    """A uniform payoff, a dyadic one with signed zeros, and the all-zero payoffs of either sign."""
+    return [
+        Rv(tuple(rng.uniform(-1.0, 1.0, n))),
+        cancelling_payoff(rng, n),
+        Rv((0.0,) * n),
+        Rv((-0.0,) * n),
+        Rv(tuple(rng.choice([-0.0, 0.0], n).tolist())),
+    ]
+
+
+class TestEventCapacityCache:
+    """The bounded event-capacity cache and the one-product envelope match the routes they replaced."""
+
+    def test_every_subset_matches_the_per_mask_product(self):
+        kinds = {"preserving": 0, "not_preserving": 0}
+        checked = 0
+        for sys_ in capacity_test_systems():
+            facts = finite._system_facts(sys_)
+            kinds["preserving" if facts.preserving else "not_preserving"] += 1
+            for members, mask in subsets(sys_.n):
+                got = finite._event_capacity(facts, members)
+                assert float_bytes(got) == float_bytes(finite._upper_capacity(facts.matrix, mask)), (sys_, members)
+                indicator = EventSet(sys_.n, frozenset(members)).indicator()
+                assert float_bytes(got) == float_bytes(upper_exp(sys_.priors, indicator)), (sys_, members)
+                checked += 1
+        assert kinds["preserving"] > 970 and kinds["not_preserving"] > 0
+        # more events than the cache holds, so entries are evicted and refilled
+        assert checked > 2 * finite.CAPACITY_CACHE_SIZE
+
+    def test_one_product_envelope_matches_two_products(self):
+        rng = np.random.default_rng(20242)
+        tally = {"reports": 0, "zero_sign_differs": 0}
+        for sys_ in capacity_test_systems():
+            matrix = finite._system_facts(sys_).matrix
+            for x in envelope_payoffs(rng, sys_.n):
+                v = x.as_array()
+                pv = (matrix @ v).tolist()
+                ends = (min(pv), max(pv))
+                ref_ends = (-float(np.max(matrix @ -v)), float(np.max(matrix @ v)))
+                assert ends == ref_ends, (sys_, x)
+                # the only difference allowed is the sign of a zero
+                for end, ref in zip(ends, ref_ends):
+                    if float_bytes(end) != float_bytes(ref):
+                        assert end == 0.0, (sys_, x)
+                        tally["zero_sign_differs"] += 1
+                if not is_expectation_preserving(sys_):
+                    continue
+                rep = slln_audit(sys_, x)
+                assert [float_bytes(e) for e in (rep.lower, rep.upper)] == [float_bytes(e) for e in ends]
+                assert rep.lower == lower_exp(sys_.priors, x) and rep.upper == upper_exp(sys_.priors, x)
+                tally["reports"] += 1
+        assert tally["reports"] >= 5 * 970
+        assert tally["zero_sign_differs"] > 0  # the signed-zero payoffs reach the one allowed difference
+
+    def test_systems_with_one_map_do_not_share_entries(self):
+        # two systems with the same map and members but different priors
+        a = FiniteSystem(2, PriorSet(((0.5, 0.5),)), FiniteMap((0, 1)))
+        b = FiniteSystem(2, PriorSet(((1.0, 0.0),)), FiniteMap((0, 1)))
+        assert finite._event_capacity(finite._system_facts(a), (1,)) == 0.5
+        assert finite._event_capacity(finite._system_facts(b), (1,)) == 0.0
+
+
+@pytest.fixture
+def capacity_evaluations(monkeypatch):
+    """The member tuples of every event whose capacity is computed, not read from the cache."""
+    calls = []
+    upper_capacity = finite._upper_capacity
+
+    def counting(matrix, mask):
+        calls.append(tuple(np.flatnonzero(mask).tolist()))
+        return upper_capacity(matrix, mask)
+
+    monkeypatch.setattr(finite, "_upper_capacity", counting)
+    finite._system_facts.cache_clear()
+    finite._event_capacity.cache_clear()
+    return calls
+
+
+class TestCapacityEvaluationCounts:
+    """Each event of a system is evaluated once, however many audits ask for it; no clock is read."""
+
+    def test_each_event_evaluated_once_on_ergodic_catalog_systems(self, capacity_evaluations):
+        calls = capacity_evaluations
+        rng = np.random.default_rng(20243)
+        ergodic = 0
+        for n in (1, 2, 3, 4):
+            for sys_ in enumerate_preserving_systems(n):
+                calls.clear()
+                if not is_ergodic(sys_):
+                    continue
+                ergodic += 1
+                unions = [inside for inside, _ in finite._invariant_unions(sys_)]
+                assert sorted(calls) == sorted(unions), sys_
+                calls.clear()
+                fixed_space_audit(sys_)
+                assert calls == [], sys_
+                payoffs = [Rv(tuple(rng.uniform(-1.0, 1.0, n))) for _ in range(48)]
+                payoffs += TestSystemCacheDifferential.payoffs(sys_, rng, count=0)
+                payoffs.append(cancelling_payoff(rng, n))
+                for x in payoffs:
+                    slln_audit(sys_, x)
+                assert len(calls) == len(set(calls)), (sys_, calls)
+        assert ergodic == 345
 
 
 class TestFiniteMapEntries:

@@ -95,6 +95,11 @@ class TestSimulatePath:
         with pytest.raises(InputError, match="takes more than"):
             simulate_path(constant_policy(PARAMS, 1.0), 0.0, horizon, dt, 1)
 
+    def test_step_count_past_any_address_space_rejected(self):
+        # 10^17 steps of 8 bytes exceed every 64-bit address space, so nothing is allocated
+        with pytest.raises(InputError, match="more than memory holds"):
+            simulate_path(constant_policy(PARAMS, 1.0), 0.0, 1e14, 1e-3, 1)
+
     def test_positions_stay_on_circle(self):
         for policy in default_policy_suite(PARAMS):
             path = simulate_path(policy, 0.0, 50.0, 0.01, 3)
