@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .credal import InputError
+from .credal import InputError, _count
 from .gheat import CircleGrid, GHeatParams, GridFn, indicator_fn
 from .wrapped import WrappedKernelSpec, kernel_row, regularity_bound, wrapped_gauss
 
@@ -300,9 +300,14 @@ def dp_upper_expectation(phi: GridFn, t: float, p: GHeatParams, n_steps: int) ->
     through that column's real FFT spectrum.  The two spectra are stacked into
     one (2, M//2 + 1) array, so each step is one forward rFFT and one batched
     inverse rFFT that returns both candidates as the rows of a (2, M) array.
+    The steps allocate nothing: the state (a copy of phi's values), its
+    spectrum, the product and the two candidates live in four buffers that
+    every step overwrites through the out= arguments of the ufuncs and of
+    np.fft (numpy >= 2.0).
+    The result is a GridFn, which copies the state, so it shares no memory
+    with phi or with the buffers.
     """
-    if n_steps < 1:
-        raise InputError("n_steps must be >= 1")
+    n_steps = _count("n_steps", n_steps)
     if t <= 0:
         raise InputError("t must be > 0")
     m = phi.grid.m
@@ -319,10 +324,17 @@ def dp_upper_expectation(phi: GridFn, t: float, p: GHeatParams, n_steps: int) ->
             )
         spectra.append(np.fft.rfft(row))
     spectra = np.stack(spectra)
-    u = phi.values
+    u = np.array(phi.values)
+    f = np.empty(spectra.shape[1], dtype=complex)
+    product = np.empty_like(spectra)
+    both = np.empty((2, m))
+    lo, hi = both
+    rfft, irfft, multiply, maximum = np.fft.rfft, np.fft.irfft, np.multiply, np.maximum
     for _ in range(n_steps):
-        lo, hi = np.fft.irfft(np.fft.rfft(u) * spectra, n=m)
-        u = np.maximum(lo, hi)
+        rfft(u, out=f)
+        multiply(f, spectra, out=product)
+        irfft(product, n=m, out=both)
+        maximum(lo, hi, out=u)
     return GridFn(phi.grid, u)
 
 

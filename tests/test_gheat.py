@@ -42,6 +42,14 @@ class TestTypes:
         with pytest.raises(InputError):
             CircleGrid(4)
 
+    @pytest.mark.parametrize("m", [256.0, 256.5, True, "256", None])
+    def test_grid_size_must_be_an_integer(self, m):
+        with pytest.raises(InputError, match="grid size m must be an integer"):
+            CircleGrid(m)
+
+    def test_numpy_integer_grid_size_accepted(self):
+        assert CircleGrid(np.int64(256)) == GRID
+
     def test_gridfn_length_checked(self):
         with pytest.raises(InputError):
             GridFn(GRID, np.zeros(7))
@@ -346,6 +354,62 @@ class TestStepperBytes:
         assert not np.shares_memory(out, phi.values)
         assert not np.shares_memory(out, state.base)
         assert not out.flags.writeable
+
+
+# The ghost-cell stepper as it stood before its operands became arrays: every
+# scalar operand was a Python float, and the steps came as an iterable of sizes.
+def ref_advance(values, h2, p, taus):
+    m = values.size
+    w = np.empty(m + 2)
+    w[1:-1] = values
+    v, left, right = w[1:-1], w[:-2], w[2:]
+    d = np.empty(m)
+    r = np.empty(m)
+    a = 0.5 * p.sigma_hi2
+    b = 0.5 * p.sigma_lo2
+    for tau in taus:
+        w[0] = w[m]
+        w[m + 1] = w[1]
+        np.multiply(v, 2.0, out=d)
+        np.subtract(right, d, out=d)
+        np.add(d, left, out=d)
+        np.divide(d, h2, out=d)
+        np.multiply(d, a, out=r)
+        np.multiply(d, b, out=d)
+        np.maximum(r, d, out=r)
+        np.add(r, 0.0, out=r)
+        np.multiply(r, tau, out=r)
+        np.add(v, r, out=v)
+    return v
+
+
+def ref_solve_steps(t, dt):
+    n_full = int(np.floor(t / dt + 1e-9))
+    rem = t - n_full * dt
+    return [dt] * n_full + ([rem] if rem > 1e-12 else [])
+
+
+class TestArrayOperandBytes:
+    """Array operands reproduce the Python-float-operand stepper byte for byte."""
+
+    @pytest.mark.parametrize("m", [256, 512])
+    @pytest.mark.parametrize("band", [(0.25, 1.0), (1e-6, 1.0)])
+    def test_solve_bytes_match_ref_advance(self, m, band):
+        g = CircleGrid(m)
+        p = GHeatParams(*band)
+        for t in (0.25, 1.0):
+            taus = ref_solve_steps(t, p.dt(g))
+            assert taus[-1] != taus[0]  # the last step is a shortened remainder
+            for name, phi in {**differential_data(g), **signed_zero_data(g)}.items():
+                want = GridFn(g, ref_advance(phi.values, g.h**2, p, taus)).values.tobytes()
+                assert solve(phi, t, p).values.tobytes() == want, (name, t)
+
+    def test_step_explicit_bytes_match_ref_advance(self):
+        p = GHeatParams(1e-6, 1.0)
+        for name, u in {**differential_data(GRID), **signed_zero_data(GRID)}.items():
+            for dt in (p.dt(GRID), 0.37 * p.dt(GRID), 0.0):
+                want = ref_advance(u.values, GRID.h**2, p, [dt]).tobytes()
+                assert step_explicit(u, p, dt).values.tobytes() == want, (name, dt)
 
 
 def flow_defect(phi, s, t, p):

@@ -16,6 +16,7 @@ from ergolab.scenario import (
     random_switching_policy,
     simulate_path,
     slln_experiment,
+    strong_regularity_audit,
     threshold_policy,
     time_average,
 )
@@ -284,6 +285,24 @@ class TestDpOracle:
         with pytest.raises(InputError):
             dp_upper_expectation(cos_fn(GRID), 1.0, PARAMS, 0)
 
+    @pytest.mark.parametrize("n_steps", [64.0, 64.5, True, "64"])
+    def test_step_count_must_be_an_integer(self, n_steps):
+        with pytest.raises(InputError, match="n_steps must be an integer"):
+            dp_upper_expectation(cos_fn(GRID), 1.0, PARAMS, n_steps)
+
+    def test_numpy_integer_step_count_accepted(self):
+        got = dp_upper_expectation(cos_fn(GRID), 1.0, PARAMS, np.int64(64)).values
+        assert got.tobytes() == dp_upper_expectation(cos_fn(GRID), 1.0, PARAMS, 64).values.tobytes()
+
+    def test_regularity_audit_step_count_must_be_an_integer(self):
+        with pytest.raises(InputError, match="n_steps must be an integer"):
+            strong_regularity_audit(PARAMS, 0.5, [(0.0, 1.0)], steps=32.0)
+
+    @pytest.mark.parametrize("m", [256.0, 256.5])
+    def test_float_grid_size_rejected_before_any_fft(self, m):
+        with pytest.raises(InputError, match="grid size m must be an integer"):
+            dp_upper_expectation(cos_fn(CircleGrid(m)), 1.0, PARAMS, 64)
+
 
 def two_irfft_recursion(phi, t, p, n_steps):
     """The DP recursion as it stood before the batched inverse: one forward and two inverse rFFTs a step."""
@@ -308,6 +327,67 @@ class TestDpBatchedIrfftDifferential:
         for name, phi in data.items():
             got = dp_upper_expectation(phi, 1.0, PARAMS, n).values
             assert got.tobytes() == two_irfft_recursion(phi, 1.0, PARAMS, n).tobytes(), name
+
+
+def ref_dp(phi, t, p, n_steps):
+    """The batched recursion as it stood before its buffers: each step allocated its rFFT, product and candidates."""
+    m = phi.grid.m
+    spectra = np.stack([np.fft.rfft(kernel_row(m, s2, t / n_steps)) for s2 in (p.sigma_lo2, p.sigma_hi2)])
+    u = phi.values
+    for _ in range(n_steps):
+        lo, hi = np.fft.irfft(np.fft.rfft(u) * spectra, n=m)
+        u = np.maximum(lo, hi)
+    return u
+
+
+def recording(fn, outs):
+    """fn, with every out= argument it receives appended to outs."""
+
+    def wrapper(*args, **kwargs):
+        if kwargs.get("out") is not None:
+            outs.append(kwargs["out"])
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+class TestDpBufferDifferential:
+    """The recursion on reused buffers reproduces the allocating recursion byte for byte."""
+
+    @pytest.mark.parametrize("m", [256, 512, 1024, 2048])
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_matches_allocating_recursion(self, m, n):
+        grid = CircleGrid(m)
+        data = {
+            "random": random_fn(grid, 5),
+            "rotated-cos": GridFn(grid, np.cos(grid.nodes() - 0.7)),
+            "indicator": indicator_fn(grid, 0.5, 2.0),
+        }
+        for name, phi in data.items():
+            got = dp_upper_expectation(phi, 1.0, PARAMS, n).values
+            assert got.tobytes() == ref_dp(phi, 1.0, PARAMS, n).tobytes(), name
+
+    def test_buffers_are_reused_and_not_returned(self, monkeypatch):
+        phi = random_fn(GRID, 5)
+        before = phi.values.tobytes()
+        outs = {"rfft": [], "multiply": [], "irfft": [], "maximum": []}
+        monkeypatch.setattr(np.fft, "rfft", recording(np.fft.rfft, outs["rfft"]))
+        monkeypatch.setattr(np.fft, "irfft", recording(np.fft.irfft, outs["irfft"]))
+        monkeypatch.setattr(np, "multiply", recording(np.multiply, outs["multiply"]))
+        monkeypatch.setattr(np, "maximum", recording(np.maximum, outs["maximum"]))
+        u = dp_upper_expectation(phi, 1.0, PARAMS, 16).values
+        monkeypatch.undo()
+        buffers = []
+        for name, seen in outs.items():
+            assert len(seen) == 16, name  # one out= write per step
+            assert all(b is seen[0] for b in seen), name  # into one buffer
+            buffers.append(seen[0])
+        assert phi.values.tobytes() == before
+        assert not u.flags.writeable
+        assert not np.shares_memory(u, phi.values)
+        for buf in buffers:
+            assert not np.shares_memory(u, buf)
+            assert not np.shares_memory(buf, phi.values)
 
 
 @lru_cache(maxsize=None)
