@@ -28,10 +28,15 @@ def main(argv=None):
     spec_path.write_text(
         json.dumps({"n": 3, "theta": [1, 2, 0], "priors": [[1 / 3, 1 / 3, 1 / 3]]})
     )
+    # two swaps under the uniform prior: not ergodic, so every statement is false
+    swaps_path = outdir / "two_swaps.json"
+    swaps_path.write_text(json.dumps({"n": 4, "theta": [1, 0, 3, 2], "priors": [[0.25] * 4]}))
 
     runs = [
         ("lab-audit three-cycle", 0,
          ["lab-audit", "--spec", str(spec_path), "--out", str(outdir / "lab_audit.json")]),
+        ("lab-audit two swaps (not ergodic)", 0,
+         ["lab-audit", "--spec", str(swaps_path), "--out", str(outdir / "lab_audit_swaps.json")]),
         ("lab-enumerate n=3", 0,
          ["lab-enumerate", "--n", "3", "--out", str(outdir / "lab_enumerate_n3.json")]),
         ("gheat solve cos t=1", 0,

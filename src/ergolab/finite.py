@@ -18,12 +18,12 @@ index arrays; every system with that map shares it.  What depends on the
 priors is settled once per system and kept in a second bounded cache: the
 preservation verdict, the prior matrix and, on first use, the ergodicity
 verdict, which the fixed-space and four-statement audits read rather than
-decide again.  The ergodicity verdict, fixed_space_audit and slln_audit
-name each event by its ascending member tuple and read its upper capacity
-from a third bounded cache, keyed by (system facts, members): a miss forms
-max(P @ 1_A) on the event's boolean mask, the same product that upper_exp
-forms on its indicator, so each event of a system is evaluated once and
-every value is bit for bit upper_exp's.  The cache is not filled from one
+decide again.  The verdict and the fixed-space, strong-law and four-statement
+audits name each event by its ascending member tuple and read its upper
+capacity from a third bounded cache, keyed by (system facts, members): a miss
+forms max(P @ 1_A) on the event's boolean mask, the same product that
+upper_exp forms on its indicator, so each event of a system is evaluated once
+and every value is bit for bit upper_exp's.  The cache is not filled from one
 matrix product over all subsets: a gemm may sum in another order than the
 per-event gemv and differ in the last bit.  slln_audit's envelope is one
 product pv = P @ x, lower = min(pv) and upper = max(pv); negation commutes
@@ -36,17 +36,16 @@ Python where numpy's fixed cost per call would exceed the work on a few
 entries: the cycle decomposition walks the image tuple, probability vectors
 are validated on their tuple, generators and hull vertices are pushed
 forward on their weight tuples (np.add.at's additions, in its order),
-events are member tuples built from value lists, the envelope's ends are
-Python min and max of one product's entries, and the maximal check walks
-each point's partial sums.  np.unique is avoided because it imports numpy.ma on first use, and maxima
-and sums call np.maximum.reduce and np.add.reduce, the ufunc reduction that
+events are member tuples built from value lists or subset bitmasks, the
+envelope's ends are Python min and max of one product's entries, and the
+maximal check and the four-statement audit walk the image tuple.  np.unique
+is avoided because it imports numpy.ma on first use, and maxima and sums
+call np.maximum.reduce and np.add.reduce, the ufunc reduction that
 ndarray.max() and .sum() reach through a Python wrapper.
 
 The invariant sets, the unions of grand orbits, are enumerated by one
 generator of (inside, outside) member tuples, built in Python from the
 grand-orbit labels, that the ergodicity verdict and invariant_sets share.
-The four-statement audit builds one table per system holding the capacity
-and the theta-preimage bitmask of every subset.
 
 On a finite space every orbit is preperiodic, so Birkhoff averages are exact
 cycle means, monotone limits of sets are attained after finitely many steps,
@@ -127,6 +126,7 @@ class FiniteSystem:
     theta: FiniteMap
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _count("n", self.n))
         if self.n != self.priors.n or self.n != self.theta.n:
             raise InputError(
                 f"dimension mismatch: n={self.n}, priors n={self.priors.n}, map n={self.theta.n}"
@@ -344,8 +344,8 @@ class _SystemFacts:
 
     eq=False makes the facts hash by identity, so they key the event-capacity
     cache cheaply; each system has one facts object while it stays cached.
-    Every capacity the ergodicity verdict, fixed_space_audit and slln_audit
-    read comes from _event_capacity(facts, members).
+    Every capacity the ergodicity verdict, fixed_space_audit, slln_audit and
+    indecomposability_audit read comes from _event_capacity(facts, members).
     """
 
     sys: FiniteSystem
@@ -596,7 +596,7 @@ class IndecomposabilityReport:
 
 
 def indecomposability_audit(sys: FiniteSystem) -> IndecomposabilityReport:
-    """Evaluate the four equivalent forms of indecomposability independently.
+    """Evaluate the four equivalent forms of indecomposability, each by its own logic.
 
     (1) every invariant set is polar or co-polar: the system's ergodicity
         verdict, decided once over the unions of grand orbits;
@@ -611,50 +611,47 @@ def indecomposability_audit(sys: FiniteSystem) -> IndecomposabilityReport:
     Statements (3) and (4) are monotone in the quantified sets, so they are
     evaluated on the singleton generators of positive capacity; that is an
     elementary reduction, not an appeal to the equivalence being audited.
+    The statements are independent in logic, not in arithmetic: they share
+    one capacity definition, the system's event-capacity cache.
     """
     facts = _require_preserving(sys)
     n = sys.n
     if n > 12:
         raise InputError("enumeration budget exceeded: audit requires n <= 12")
-    # row A of bits is the indicator of subset A; cap[A] is its upper capacity
-    # and pre[A] the bitmask of its theta-preimage
-    masks = np.arange(1 << n)
-    pow2 = 1 << np.arange(n)
-    bits = (masks[:, None] >> np.arange(n)[None, :]) & 1
-    cap = np.max(bits.astype(float) @ facts.matrix.T, axis=1)
-    pre = bits[:, sys.theta.as_array()] @ pow2
+    img = sys.theta.image
     full = (1 << n) - 1
     dec = orbit_decomposition(sys.theta)
     bound = dec.max_preperiod + dec.cycle_lcm
 
+    def non_polar(mask: int) -> bool:
+        return _event_capacity(facts, tuple(i for i in range(n) if mask >> i & 1)) > TOL_SIMPLEX
+
+    def preimage(mask: int) -> int:
+        return sum(1 << i for i, j in enumerate(img) if mask >> j & 1)
+
     s1 = facts.ergodic
 
-    almost_invariant = cap[pre ^ masks] <= TOL_SIMPLEX
-    s2 = not np.any(almost_invariant & (cap > TOL_SIMPLEX) & (cap[full ^ masks] > TOL_SIMPLEX))
+    s2 = not any(not non_polar(preimage(a) ^ a) and non_polar(a) and non_polar(full ^ a) for a in range(full + 1))
 
-    support = [i for i in range(n) if cap[1 << i] > TOL_SIMPLEX]
+    support = [a for a in range(n) if non_polar(1 << a)]
 
     s3 = True
     for a in support:
-        u = int(pre[1 << a])
-        while True:
-            nxt = u | int(pre[u])
-            if nxt == u:
-                break
+        u = preimage(1 << a)
+        while (nxt := u | preimage(u)) != u:
             u = nxt
-        if cap[full ^ u] > TOL_SIMPLEX:
+        if non_polar(full ^ u):
             s3 = False
             break
 
     s4 = True
-    img = sys.theta.as_array()
-    for a in support:
-        reached = set()
-        cur = np.arange(n, dtype=np.intp)
+    for b in support:
+        # theta^k(b) for 1 <= k <= bound
+        reached, cur = set(), b
         for _ in range(bound):
             cur = img[cur]
-            reached.update(int(b) for b in np.nonzero(cur == a)[0])
-        if any(b not in reached for b in support):
+            reached.add(cur)
+        if not reached.issuperset(support):
             s4 = False
             break
 

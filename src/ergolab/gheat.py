@@ -55,7 +55,9 @@ class CircleGrid:
     m: int
 
     def __post_init__(self):
-        _count("grid size m", self.m, minimum=8)
+        m = _count("grid size m", self.m, minimum=8)
+        if m > (limit := np.iinfo(np.intp).max // 8):  # the longest float array numpy can address
+            raise InputError(f"grid size m must be <= {limit}; got {m}")
 
     @property
     def h(self) -> float:

@@ -274,6 +274,20 @@ class TestInputErrors:
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("input error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gheat", "solve", "--phi", "cos", "--t", "1"],
+            ["gheat", "steady"],
+            ["gheat", "xcheck", "--case", "linear"],
+            ["mc-slln"],
+        ],
+        ids=["solve", "steady", "xcheck", "mc-slln"],
+    )
+    def test_grid_beyond_the_address_space_exit_2(self, capsys, argv):
+        assert run([*argv, "--grid", "100000000000000000000"]) == 2
+        assert capsys.readouterr().err.startswith("input error: grid size m must be <=")
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     @pytest.mark.parametrize(
         "argv",

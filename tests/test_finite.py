@@ -758,6 +758,28 @@ class TestOrbitTableDifferential:
             self.assert_same(random_preserving_system(n, rng), rng, tally)
         assert 0 < tally["indecomposable"] < tally["systems"] == 500
 
+    def test_four_statement_audit_at_its_size_guard(self):
+        # n = 9-12: the audits ask for more events than the event-capacity cache holds, so
+        # the second pass finds each system's events evicted and evaluates them again
+        rng = np.random.default_rng(20194)
+        uniform = PriorSet((ProbVector(tuple(1 / 12 for _ in range(12))),))
+        systems = [random_preserving_system(int(rng.integers(9, 13)), rng) for _ in range(40)]
+        systems += [
+            FiniteSystem(12, uniform, FiniteMap(tuple((i + 1) % 12 for i in range(12)))),
+            FiniteSystem(12, uniform, FiniteMap(tuple(6 * (i // 6) + (i + 1) % 6 for i in range(12)))),
+        ]
+        indecomposable = 0
+        for sys_ in systems:
+            report = indecomposability_audit(sys_)
+            assert report == ref_indecomposability_audit(sys_), sys_
+            indecomposable += all(report.statements)
+        assert {sys_.n for sys_ in systems} == {9, 10, 11, 12}
+        assert 0 < indecomposable < len(systems)
+        misses = finite._event_capacity.cache_info().misses
+        for sys_ in systems:
+            assert indecomposability_audit(sys_) == ref_indecomposability_audit(sys_), sys_
+        assert finite._event_capacity.cache_info().misses - misses > finite.CAPACITY_CACHE_SIZE
+
 
 def ref_orbit_decomposition(theta: FiniteMap) -> finite.OrbitDecomposition:
     """orbit_decomposition's numpy route, copied verbatim (its lru_cache dropped)."""
@@ -1166,6 +1188,23 @@ class TestCapacityEvaluationCounts:
                 assert len(calls) == len(set(calls)), (sys_, calls)
         assert ergodic == 345
 
+    def test_four_statement_audit_evaluates_each_event_once(self, capacity_evaluations):
+        calls = capacity_evaluations
+        ergodic = evaluating = 0
+        for n in (1, 2, 3, 4):
+            for sys_ in enumerate_preserving_systems(n):
+                if not is_ergodic(sys_):
+                    continue
+                ergodic += 1
+                fixed_space_audit(sys_)
+                calls.clear()
+                indecomposability_audit(sys_)
+                assert len(calls) == len(set(calls)), (sys_, calls)
+                evaluating += bool(calls)
+        assert ergodic == 345
+        # statements (2)-(4) ask for events beyond the unions of classes the verdict read
+        assert evaluating > 0
+
 
 class TestFiniteMapEntries:
     @pytest.mark.parametrize(
@@ -1505,6 +1544,18 @@ class TestIndecomposabilityAudit:
             count += 1
         assert count > 30  # the sweep actually produced systems
 
+    def test_every_statement_reads_the_event_capacity_route(self, monkeypatch):
+        # with every capacity read as 0 every set is polar, so all four statements hold
+        monkeypatch.setattr(finite, "_upper_capacity", lambda matrix, mask: 0.0)
+        finite._system_facts.cache_clear()
+        finite._event_capacity.cache_clear()
+        try:
+            rep = indecomposability_audit(FiniteSystem(2, PriorSet(((0.5, 0.5),)), FiniteMap((0, 1))))
+        finally:
+            finite._system_facts.cache_clear()
+            finite._event_capacity.cache_clear()
+        assert rep.statements == (True, True, True, True)
+
     def test_budget_guard(self):
         n = 13
         sys_ = FiniteSystem(
@@ -1528,6 +1579,28 @@ class TestCatalog:
         cat = prior_catalog(4)
         keys = [frozenset(p.weights for p in ps.priors) for ps in cat]
         assert len(keys) == len(set(keys))
+
+
+class TestFiniteSystemSize:
+    @pytest.mark.parametrize("n", [2.0, 2.5, "2", None], ids=repr)
+    def test_non_integer_size_rejected(self, n):
+        with pytest.raises(InputError, match="n must be an integer"):
+            FiniteSystem(n, PriorSet(((0.5, 0.5),)), FiniteMap((1, 0)))
+
+    def test_bool_size_rejected(self):
+        # True == 1 would match a one-point prior set and map
+        with pytest.raises(InputError, match="n must be an integer"):
+            FiniteSystem(True, PriorSet(((1.0,),)), FiniteMap((0,)))
+
+    def test_size_below_one_rejected(self):
+        with pytest.raises(InputError, match="n must be >= 1"):
+            FiniteSystem(0, PriorSet(((1.0,),)), FiniteMap((0,)))
+
+    def test_numpy_integer_size_stored_as_int(self):
+        sys_ = FiniteSystem(np.int64(2), PriorSet(((0.5, 0.5),)), FiniteMap((1, 0)))
+        assert type(sys_.n) is int
+        assert sys_ == FiniteSystem(2, PriorSet(((0.5, 0.5),)), FiniteMap((1, 0)))
+        assert is_ergodic(sys_)
 
 
 class TestRandomPreservingSystemSize:

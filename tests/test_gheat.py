@@ -47,6 +47,11 @@ class TestTypes:
         with pytest.raises(InputError, match="grid size m must be an integer"):
             CircleGrid(m)
 
+    def test_grid_beyond_the_address_space_rejected(self):
+        # rejected before any array is built
+        with pytest.raises(InputError, match="grid size m must be <="):
+            CircleGrid(2**62)
+
     def test_numpy_integer_grid_size_accepted(self):
         assert CircleGrid(np.int64(256)) == GRID
 
