@@ -129,11 +129,7 @@ def _load_system(path: str) -> tuple[finite.FiniteSystem, dict]:
     if not isinstance(raw, dict):
         raise InputError("system spec must be a JSON object")
     try:
-        n, image = raw["n"], tuple(raw["theta"])
-        # int() would truncate 1.7 and read true as 1
-        if any(isinstance(i, bool) or not isinstance(i, int) for i in (n, *image)):
-            raise InputError(f"n and theta entries must be integers; got n={n!r}, theta={list(image)!r}")
-        theta = finite.FiniteMap(image)
+        n, theta = raw["n"], finite.FiniteMap(tuple(raw["theta"]))
         rows = [tuple(p) for p in raw["priors"]]
         # float() would read true as 1.0 and "0.5" as 0.5
         if any(isinstance(w, bool) or not isinstance(w, (int, float)) for row in rows for w in row):

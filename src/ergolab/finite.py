@@ -11,37 +11,38 @@ a vertex by that coordinate alone (the hull of the others lies between their
 coordinate-wise min and max), so only the generators this proof cannot
 settle cost a hull-distance LP, and scipy is imported only for such an LP.
 
-The orbit structure is a fact of the map alone.  One record per map, cached
-by orbit_decomposition, holds each point's preperiod and cycle, its
-grand-orbit label, and the cycles grouped by length as read-only (k_L, L)
-index arrays; every system with that map shares it.  What depends on the
-priors is settled once per system and kept in a second bounded cache: the
-preservation verdict, the prior matrix and, on first use, the ergodicity
-verdict, which the fixed-space and four-statement audits read rather than
-decide again.  The verdict and the fixed-space, strong-law and four-statement
-audits name each event by its ascending member tuple and read its upper
-capacity from a third bounded cache, keyed by (system facts, members): a miss
-forms max(P @ 1_A) on the event's boolean mask, the same product that
+Each record lives on the object it describes and dies with it, so no audit
+hashes a system or a map to find it; the package's three caches, each
+bounded, hold prior-set vertices, event capacities and wrapped's kernel rows.
+A map holds its orbits, built on first use by orbit_decomposition: each
+point's preperiod, cycle and grand-orbit label, and the cycles grouped by
+length as read-only (k_L, L) index arrays.  A system holds its read-only
+prior matrix and its facts: the preservation verdict and, on first use, the
+ergodicity verdict, which the fixed-space and four-statement audits read
+rather than decide again.  The verdict and the fixed-space, strong-law and
+four-statement audits name each event by its ascending member tuple and read
+its upper capacity from a bounded cache, keyed by (system facts, members): a
+miss forms max(P @ 1_A) on the event's boolean mask, the same product that
 upper_exp forms on its indicator, so each event of a system is evaluated once
 and every value is bit for bit upper_exp's.  The cache is not filled from one
 matrix product over all subsets: a gemm may sum in another order than the
 per-event gemv and differ in the last bit.  slln_audit's envelope is one
 product pv = P @ x, lower = min(pv) and upper = max(pv); negation commutes
-with round to nearest, so min(P @ x) equals -max(P @ -x), and both ends
-equal lower_exp and upper_exp up to the sign of a zero.  A payoff's cycle
-means are vals[members].sum(axis=1) / L per length group, which is np.mean
-of each cycle bit for bit: numpy reduces each row of a C-ordered array by
-the same pairwise sum as a 1-d array.  The per-call paths stay in plain
-Python where numpy's fixed cost per call would exceed the work on a few
-entries: the cycle decomposition walks the image tuple, probability vectors
-are validated on their tuple, generators and hull vertices are pushed
-forward on their weight tuples (np.add.at's additions, in its order),
-events are member tuples built from value lists or subset bitmasks, the
-envelope's ends are Python min and max of one product's entries, and the
-maximal check and the four-statement audit walk the image tuple.  np.unique
-is avoided because it imports numpy.ma on first use, and maxima and sums
-call np.maximum.reduce and np.add.reduce, the ufunc reduction that
-ndarray.max() and .sum() reach through a Python wrapper.
+with round to nearest, so min(P @ x) equals -max(P @ -x), and both ends equal
+lower_exp and upper_exp up to the sign of a zero.  A payoff's cycle means are
+np.add.reduce(vals[members], axis=1) / L per length group, which is np.mean
+of each cycle bit for bit: numpy reduces each row of a C-ordered array by the
+same pairwise sum as a 1-d array.  The per-call paths stay in plain Python
+where numpy's fixed cost per call would exceed the work on a few entries: the
+cycle decomposition walks the image tuple, probability vectors are validated
+on their tuple, generators and hull vertices are pushed forward on their
+weight tuples (np.add.at's additions, in its order), events are member tuples
+built from value lists or subset bitmasks, the envelope's ends are Python min
+and max of one product's entries, and the maximal check and the
+four-statement audit walk the image tuple.  np.unique is avoided because it
+imports numpy.ma on first use, and maxima and sums call np.maximum.reduce and
+np.add.reduce, the ufunc reduction that ndarray.max() and .sum() reach
+through a Python wrapper.
 
 The invariant sets, the unions of grand orbits, are enumerated by one
 generator of (inside, outside) member tuples, built in Python from the
@@ -113,8 +114,10 @@ class FiniteMap:
     def __call__(self, i: int) -> int:
         return self.image[i]
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.image, dtype=np.intp)
+    @cached_property
+    def orbits(self) -> OrbitDecomposition:
+        """The map's orbit record, built on first use and held for the map's lifetime."""
+        return orbit_decomposition(self)
 
 
 @dataclass(frozen=True)
@@ -132,9 +135,19 @@ class FiniteSystem:
                 f"dimension mismatch: n={self.n}, priors n={self.priors.n}, map n={self.theta.n}"
             )
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The prior matrix, one row per prior, read-only because every audit of the system shares it."""
+        return _read_only(self.priors.matrix(), float)
 
-def _read_only_index(entries) -> np.ndarray:
-    out = np.asarray(entries, dtype=np.intp)
+    @cached_property
+    def facts(self) -> _SystemFacts:
+        """The preservation verdict, the prior matrix and, on first use, the ergodicity verdict."""
+        return _SystemFacts(self, is_expectation_preserving(self), self.matrix)
+
+
+def _read_only(entries, dtype=np.intp) -> np.ndarray:
+    out = np.asarray(entries, dtype=dtype)
     out.flags.writeable = False
     return out
 
@@ -146,7 +159,7 @@ class OrbitDecomposition:
     Each component of the functional graph {i -- theta(i)} holds exactly one
     cycle, so the grand orbits are the points grouped by cycle: there are
     len(cycles) of them, and a set B satisfies theta^{-1}(B) = B exactly when
-    B is a union of them.  The record is cached per map and shared by every
+    B is a union of them.  The record is held by its map and shared by every
     system with that map, so its arrays are read-only.
     """
 
@@ -175,10 +188,10 @@ class OrbitDecomposition:
         for cid, cyc in enumerate(self.cycles):
             ids_of_length.setdefault(len(cyc), []).append(cid)
         by_length = tuple(
-            (_read_only_index(ids), _read_only_index([self.cycles[c] for c in ids]))
+            (_read_only(ids), _read_only([self.cycles[c] for c in ids]))
             for ids in ids_of_length.values()
         )
-        return _read_only_index(self.cycle_index), by_length
+        return _read_only(self.cycle_index), by_length
 
     def cycle_means(self, vals: np.ndarray) -> np.ndarray:
         """Exact long-run orbit average of vals started from each point.
@@ -190,24 +203,17 @@ class OrbitDecomposition:
         index, by_length = self.cycle_arrays
         per_cycle = np.empty(len(self.cycles))
         for ids, members in by_length:
-            per_cycle[ids] = vals[members].sum(axis=1) / members.shape[1]
+            per_cycle[ids] = np.add.reduce(vals[members], axis=1) / members.shape[1]
         return per_cycle[index]
 
 
-#: cache size of the per-map decompositions; covers every map with n <= 4
-MAP_CACHE_SIZE = 1024
-
 #: cache size of the per-prior-set vertex arrays
 VERTEX_CACHE_SIZE = 256
-
-#: cache size of the per-system facts; an audit run reads one system at a time
-SYSTEM_CACHE_SIZE = 256
 
 #: cache size of the event capacities, keyed by (system facts, member tuple)
 CAPACITY_CACHE_SIZE = 4096
 
 
-@lru_cache(maxsize=MAP_CACHE_SIZE)
 def orbit_decomposition(theta: FiniteMap) -> OrbitDecomposition:
     """Cycles numbered by least member, each listed from it; preperiod and cycle of every point."""
     img = theta.image
@@ -306,9 +312,7 @@ def hull_vertices(priors: PriorSet) -> np.ndarray:
             continue  # separated by one coordinate: a vertex
         if len(others) == 1 or hull_distance(others, rows[i]) <= HULL_TOL:
             keep.remove(i)
-    vertices = rows[keep]
-    vertices.flags.writeable = False
-    return vertices
+    return _read_only(rows[keep], float)
 
 
 def is_expectation_preserving(sys: FiniteSystem) -> bool:
@@ -342,9 +346,9 @@ def _upper_capacity(matrix: np.ndarray, mask: np.ndarray) -> float:
 class _SystemFacts:
     """What the audits of one system share beyond its map's orbits: settled once per system.
 
-    eq=False makes the facts hash by identity, so they key the event-capacity
-    cache cheaply; each system has one facts object while it stays cached.
-    Every capacity the ergodicity verdict, fixed_space_audit, slln_audit and
+    A system holds one facts object for its lifetime, and eq=False makes it
+    hash by identity, so it keys the event-capacity cache cheaply.  Every
+    capacity the ergodicity verdict, fixed_space_audit, slln_audit and
     indecomposability_audit read comes from _event_capacity(facts, members).
     """
 
@@ -369,15 +373,8 @@ def _event_capacity(facts: _SystemFacts, members: tuple[int, ...]) -> float:
     return _upper_capacity(facts.matrix, mask)
 
 
-@lru_cache(maxsize=SYSTEM_CACHE_SIZE)
-def _system_facts(sys: FiniteSystem) -> _SystemFacts:
-    matrix = sys.priors.matrix()
-    matrix.flags.writeable = False
-    return _SystemFacts(sys, is_expectation_preserving(sys), matrix)
-
-
 def _require_preserving(sys: FiniteSystem) -> _SystemFacts:
-    facts = _system_facts(sys)
+    facts = sys.facts
     if not facts.preserving:
         raise ContractError("map does not preserve the upper expectation")
     return facts
@@ -387,7 +384,7 @@ def _invariant_unions(sys: FiniteSystem):
     """Ascending (inside, outside) members of all B with theta^{-1}(B) = B, the 2^k unions of grand-orbit classes."""
     if sys.n > 24:
         raise InputError("enumeration budget exceeded: n must be <= 24")
-    dec = orbit_decomposition(sys.theta)
+    dec = sys.theta.orbits
     k = len(dec.cycles)
     if k > MAX_ENUM_BITS:
         raise InputError(f"enumeration budget exceeded: {k} orbit classes")
@@ -447,7 +444,7 @@ def fixed_space_audit(sys: FiniteSystem) -> FixedSpaceReport:
     whose capacity the verdict has already put in the event-capacity cache.
     """
     facts = _require_preserving(sys)
-    dec = orbit_decomposition(sys.theta)
+    dec = sys.theta.orbits
     k = len(dec.cycles)
     simple = facts.ergodic
     if simple:
@@ -498,7 +495,7 @@ def slln_audit(sys: FiniteSystem, x: Rv) -> SllnReport:
 
     Ergodicity is a property of the system, not of the payoff, so it is
     decided once per system and reused for every payoff.  The cycle means
-    come from the map's cached orbit decomposition.  The envelope is one
+    come from the orbit record the map holds.  The envelope is one
     product pv = P @ x with lower = min(pv) and upper = max(pv), taken in
     Python on its few entries: round to nearest is symmetric under
     negation, so min(P @ x) equals the -max(P @ -x) that lower_exp
@@ -512,7 +509,7 @@ def slln_audit(sys: FiniteSystem, x: Rv) -> SllnReport:
     if x.n != sys.n:
         raise InputError("payoff dimension mismatch")
     vals = x.as_array()
-    means = orbit_decomposition(sys.theta).cycle_means(vals).tolist()
+    means = sys.theta.orbits.cycle_means(vals).tolist()
     pv = (facts.matrix @ vals).tolist()
     lo, hi = min(pv), max(pv)
     below, above = lo - TOL_DERIVED, hi + TOL_DERIVED
@@ -571,7 +568,7 @@ def maximal_ergodic_check(sys: FiniteSystem, xi: Rv, k: int) -> float:
             cur = img[cur]
         else:
             integrand.append(0.0)
-    return float(np.maximum.reduce(sys.priors.matrix() @ np.asarray(integrand)))
+    return float(np.maximum.reduce(sys.matrix @ np.asarray(integrand)))
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +617,7 @@ def indecomposability_audit(sys: FiniteSystem) -> IndecomposabilityReport:
         raise InputError("enumeration budget exceeded: audit requires n <= 12")
     img = sys.theta.image
     full = (1 << n) - 1
-    dec = orbit_decomposition(sys.theta)
+    dec = sys.theta.orbits
     bound = dec.max_preperiod + dec.cycle_lcm
 
     def non_polar(mask: int) -> bool:
@@ -721,7 +718,7 @@ def invariant_prior_set(theta: FiniteMap, seed_prior: ProbVector) -> PriorSet:
     """
     if theta.n != seed_prior.n:
         raise InputError("dimension mismatch between map and prior")
-    dec = orbit_decomposition(theta)
+    dec = theta.orbits
     img = theta.image
     weights = seed_prior.weights
     for _ in range(dec.max_preperiod):
@@ -741,6 +738,6 @@ def random_preserving_system(n: int, rng: np.random.Generator) -> FiniteSystem:
     n = _count("n", n)
     theta = FiniteMap(tuple(rng.integers(0, n, n).tolist()))
     raw = rng.uniform(0.0, 1.0, n) + 1e-3
-    seed_prior = ProbVector(tuple((raw / raw.sum()).tolist()))
+    seed_prior = ProbVector(tuple((raw / np.add.reduce(raw)).tolist()))
     priors = invariant_prior_set(theta, seed_prior)
     return FiniteSystem(n, priors, theta)

@@ -274,6 +274,8 @@ def slln_experiment(
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise InputError(f"tol must be finite and >= 0; got {tol}")
+    if not policies or not seeds:
+        raise InputError("need at least one policy and one seed")
     target = float(np.mean(phi.values))
     entries = []
     for policy in policies:
@@ -380,6 +382,8 @@ def strong_regularity_audit(
         grid = CircleGrid(256)
     if t <= 0:
         raise InputError("t must be > 0")
+    if not intervals:
+        raise InputError("need at least one interval")
     for (a0, b0), (a1, b1) in zip(intervals, intervals[1:]):
         if a1 < a0 - 1e-12 or b1 > b0 + 1e-12:
             raise InputError("intervals must be nested decreasing")

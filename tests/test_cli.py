@@ -72,16 +72,22 @@ class TestLabAudit:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "n, theta",
-        [(2, [1.7, 0]), (2, [True, 0]), (2, ["1", 0]), (2.0, [1, 0]), (True, [0])],
+        "n, theta, message",
+        [
+            (2, [1.7, 0], "map entries must be integers"),
+            (2, [True, 0], "map entries must be integers"),
+            (2, ["1", 0], "map entries must be integers"),
+            (2.0, [1, 0], "n must be an integer"),
+            (True, [0], "n must be an integer"),
+        ],
         ids=["float-entry", "bool-entry", "string-entry", "float-n", "bool-n"],
     )
-    def test_non_integer_map_exit_2(self, tmp_path, capsys, n, theta):
+    def test_non_integer_map_exit_2(self, tmp_path, capsys, n, theta, message):
         # int() would truncate 1.7 to 1 and read true as 1 while the report echoes the raw spec
         spec = write_spec(tmp_path, {"n": n, "theta": theta, "priors": [[0.5, 0.5]]})
         out = tmp_path / "report.json"
         assert run(["lab-audit", "--spec", spec, "--out", str(out)]) == 2
-        assert "n and theta entries must be integers" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("priors", [[[True, False]], [["0.5", "0.5"]]], ids=["bool", "string"])

@@ -1,6 +1,8 @@
+import gc
 import importlib
 import itertools
 import pkgutil
+import weakref
 
 import numpy as np
 import pytest
@@ -304,11 +306,7 @@ def _two_point_priors():
 
 #: a stream of distinct cheap keys for every cached function in the package
 CACHE_KEYS = {
-    "ergolab.finite.orbit_decomposition": lambda: ((theta,) for theta in all_maps(5)),
     "ergolab.finite.hull_vertices": lambda: ((priors,) for priors in _two_point_priors()),
-    "ergolab.finite._system_facts": lambda: (
-        (FiniteSystem(2, priors, FiniteMap((0, 1))),) for priors in _two_point_priors()
-    ),
     "ergolab.finite._event_capacity": lambda: _subsets_of_one_system(13),
     "ergolab.wrapped.kernel_row": lambda: ((16, 1.0, 0.01 * j) for j in itertools.count(1)),
 }
@@ -317,7 +315,7 @@ CACHE_KEYS = {
 def _subsets_of_one_system(n):
     """(facts, members) for all 2^n subsets of the uniform n-cycle: 8,192 distinct keys at n = 13."""
     priors = PriorSet((ProbVector(tuple(1.0 / n for _ in range(n))),))
-    facts = finite._system_facts(FiniteSystem(n, priors, FiniteMap(tuple((i + 1) % n for i in range(n)))))
+    facts = FiniteSystem(n, priors, FiniteMap(tuple((i + 1) % n for i in range(n)))).facts
     for bits in range(1 << n):
         yield facts, tuple(i for i in range(n) if bits >> i & 1)
 
@@ -417,7 +415,7 @@ def ref_slln_audit(sys: FiniteSystem, x: Rv) -> SllnReport:
     bad_cap = upper_exp(sys.priors, bad_set.indicator())
 
     vals = x.as_array()
-    moved = np.nonzero(np.abs(vals[sys.theta.as_array()] - vals) > TOL_SIMPLEX)[0]
+    moved = np.nonzero(np.abs(vals[np.asarray(sys.theta.image, dtype=np.intp)] - vals) > TOL_SIMPLEX)[0]
     moved_set = EventSet(sys.n, frozenset(int(i) for i in moved))
     theta_fixed_qs = upper_exp(sys.priors, moved_set.indicator()) <= TOL_SIMPLEX
 
@@ -624,7 +622,7 @@ def ref_maximal_ergodic_check(sys: FiniteSystem, xi: Rv, k: int) -> float:
     if xi.n != sys.n:
         raise InputError("payoff dimension mismatch")
     vals = xi.as_array()
-    img = sys.theta.as_array()
+    img = np.asarray(sys.theta.image, dtype=np.intp)
     pos = np.arange(sys.n, dtype=np.intp)
     s = np.zeros(sys.n)
     m = np.zeros(sys.n)  # S_0 = 0
@@ -704,7 +702,7 @@ def ref_indecomposability_audit(sys: FiniteSystem) -> IndecomposabilityReport:
             break
 
     s4 = True
-    img = sys.theta.as_array()
+    img = np.asarray(sys.theta.image, dtype=np.intp)
     for a in support:
         reached = set()
         cur = np.arange(n, dtype=np.intp)
@@ -782,9 +780,9 @@ class TestOrbitTableDifferential:
 
 
 def ref_orbit_decomposition(theta: FiniteMap) -> finite.OrbitDecomposition:
-    """orbit_decomposition's numpy route, copied verbatim (its lru_cache dropped)."""
+    """orbit_decomposition's numpy route, copied verbatim (its lru_cache dropped, FiniteMap.as_array inlined)."""
     n = theta.n
-    img = theta.as_array()
+    img = np.asarray(theta.image, dtype=np.intp)
     # theta^n(i) always sits on a cycle
     landing = np.arange(n, dtype=np.intp)
     for _ in range(n):
@@ -818,7 +816,7 @@ def ref_orbit_decomposition(theta: FiniteMap) -> finite.OrbitDecomposition:
 def ref_push_rows(theta: FiniteMap, rows: np.ndarray) -> np.ndarray:
     """Pushforward of every row of a prior matrix, by one scatter-add."""
     out = np.zeros_like(rows)
-    np.add.at(out, (slice(None), theta.as_array()), rows)
+    np.add.at(out, (slice(None), np.asarray(theta.image, dtype=np.intp)), rows)
     return out
 
 
@@ -879,7 +877,7 @@ class TestFiniteHotPathDifferential:
             # tiny negatives, signed zeros and wide magnitudes stress the summation order
             row = rng.uniform(-1e-13, 1.0, n) * 10.0 ** rng.integers(-8, 3, n)
             row[rng.uniform(size=n) < 0.2] = -0.0
-            got = np.bincount(theta.as_array(), weights=row, minlength=n)
+            got = np.bincount(np.asarray(theta.image, dtype=np.intp), weights=row, minlength=n)
             assert got.tobytes() == ref_push_row(theta, row).tobytes()
             raw = rng.uniform(0.0, 1.0, n) + 1e-3
             seed = ProbVector(tuple(raw / raw.sum()))
@@ -927,7 +925,7 @@ def ref_partial_sum_maximal_ergodic_check(sys: FiniteSystem, xi: Rv, k: int) -> 
     if xi.n != sys.n:
         raise InputError("payoff dimension mismatch")
     vals = xi.as_array()
-    img = sys.theta.as_array()
+    img = np.asarray(sys.theta.image, dtype=np.intp)
     pos = np.arange(sys.n, dtype=np.intp)
     s = np.zeros(sys.n)
     m = np.zeros(sys.n)  # S_0 = 0
@@ -1046,14 +1044,14 @@ class TestNumpyOverheadDifferential:
         systems = [s for n in (1, 2, 3, 4) for s in enumerate_preserving_systems(n)]
         systems += [random_preserving_system(int(rng.integers(1, 9)), rng) for _ in range(300)]
         for sys_ in systems:
-            matrix = finite._system_facts(sys_).matrix
+            matrix = sys_.facts.matrix
             class_of = np.asarray(orbit_decomposition(sys_.theta).class_of)
             k = int(class_of.max()) + 1
             for _ in range(4):
                 labels = rng.choice(labels_pool, k)
                 labels[rng.uniform(size=k) < 0.2] = rng.uniform(-1.0, 1.0)
                 values = labels[class_of]
-                verdict = finite._constant_quasi_surely(finite._system_facts(sys_), values.tolist())
+                verdict = finite._constant_quasi_surely(sys_.facts, values.tolist())
                 assert verdict == ref_unique_constant_quasi_surely(matrix, values), (sys_, values)
                 verdicts.add(verdict)
         assert verdicts == {True, False}
@@ -1101,7 +1099,7 @@ class TestEventCapacityCache:
         kinds = {"preserving": 0, "not_preserving": 0}
         checked = 0
         for sys_ in capacity_test_systems():
-            facts = finite._system_facts(sys_)
+            facts = sys_.facts
             kinds["preserving" if facts.preserving else "not_preserving"] += 1
             for members, mask in subsets(sys_.n):
                 got = finite._event_capacity(facts, members)
@@ -1117,7 +1115,7 @@ class TestEventCapacityCache:
         rng = np.random.default_rng(20242)
         tally = {"reports": 0, "zero_sign_differs": 0}
         for sys_ in capacity_test_systems():
-            matrix = finite._system_facts(sys_).matrix
+            matrix = sys_.facts.matrix
             for x in envelope_payoffs(rng, sys_.n):
                 v = x.as_array()
                 pv = (matrix @ v).tolist()
@@ -1142,8 +1140,8 @@ class TestEventCapacityCache:
         # two systems with the same map and members but different priors
         a = FiniteSystem(2, PriorSet(((0.5, 0.5),)), FiniteMap((0, 1)))
         b = FiniteSystem(2, PriorSet(((1.0, 0.0),)), FiniteMap((0, 1)))
-        assert finite._event_capacity(finite._system_facts(a), (1,)) == 0.5
-        assert finite._event_capacity(finite._system_facts(b), (1,)) == 0.0
+        assert finite._event_capacity(a.facts, (1,)) == 0.5
+        assert finite._event_capacity(b.facts, (1,)) == 0.0
 
 
 @pytest.fixture
@@ -1157,7 +1155,6 @@ def capacity_evaluations(monkeypatch):
         return upper_capacity(matrix, mask)
 
     monkeypatch.setattr(finite, "_upper_capacity", counting)
-    finite._system_facts.cache_clear()
     finite._event_capacity.cache_clear()
     return calls
 
@@ -1228,14 +1225,6 @@ class TestFiniteMapEntries:
 
 
 class TestMapCaches:
-    @pytest.mark.parametrize("cached", [orbit_decomposition])
-    def test_cache_is_bounded(self, cached):
-        maxsize = cached.cache_info().maxsize
-        assert maxsize is not None and maxsize >= 4**4
-        for theta in itertools.islice(all_maps(5), maxsize + 8):
-            cached(theta)
-        assert cached.cache_info().currsize <= maxsize
-
     def test_every_package_cache_has_a_key_stream(self):
         assert set(package_caches()) == set(CACHE_KEYS)
 
@@ -1249,13 +1238,14 @@ class TestMapCaches:
         assert cached.cache_info().currsize <= maxsize
 
     def test_cached_prior_matrix_is_read_only(self):
-        matrix = finite._system_facts(FiniteSystem(3, UNIFORM3, CYCLE3)).matrix
+        matrix = FiniteSystem(3, UNIFORM3, CYCLE3).facts.matrix
         assert not matrix.flags.writeable
         with pytest.raises(ValueError):
             matrix[0, 0] = 0.0
 
     def test_shared_cycle_arrays_are_read_only(self):
-        dec = orbit_decomposition(FiniteMap((1, 0, 2, 3, 2)))
+        theta = FiniteMap((1, 0, 2, 3, 2))
+        dec = theta.orbits
         index, by_length = dec.cycle_arrays
         arrays = [index, *(a for pair in by_length for a in pair)]
         assert len(arrays) == 5  # the index, and the ids and members of the 1- and 2-cycles
@@ -1263,7 +1253,7 @@ class TestMapCaches:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0
-        assert dec.cycle_arrays is orbit_decomposition(FiniteMap((1, 0, 2, 3, 2))).cycle_arrays
+        assert dec.cycle_arrays is theta.orbits.cycle_arrays
 
     def test_non_preserving_system_raises_after_a_preserving_one_is_cached(self):
         preserving = FiniteSystem(2, PriorSet(((0.5, 0.5),)), FiniteMap((1, 0)))
@@ -1275,6 +1265,133 @@ class TestMapCaches:
             with pytest.raises(ContractError):
                 slln_audit(swapped, Rv((0.0, 1.0)))
         assert is_ergodic(preserving)
+
+
+def ref_sum_random_preserving_system(n: int, rng: np.random.Generator) -> FiniteSystem:
+    """random_preserving_system as it was before np.add.reduce, copied verbatim (raw.sum())."""
+    n = finite._count("n", n)
+    theta = FiniteMap(tuple(rng.integers(0, n, n).tolist()))
+    raw = rng.uniform(0.0, 1.0, n) + 1e-3
+    seed_prior = ProbVector(tuple((raw / raw.sum()).tolist()))
+    priors = invariant_prior_set(theta, seed_prior)
+    return FiniteSystem(n, priors, theta)
+
+
+def ref_matrix_maximal_ergodic_check(sys: FiniteSystem, xi: Rv, k: int) -> float:
+    """maximal_ergodic_check as it was before FiniteSystem.matrix, copied verbatim (a fresh prior matrix per call)."""
+    k = finite._count("k", k)
+    if xi.n != sys.n:
+        raise InputError("payoff dimension mismatch")
+    vals = xi.values
+    img = sys.theta.image
+    integrand = []
+    for i, v in enumerate(vals):
+        s, cur = 0.0, i
+        for _ in range(k):
+            s += vals[cur]
+            if s > 0.0:
+                integrand.append(v)
+                break
+            cur = img[cur]
+        else:
+            integrand.append(0.0)
+    return float(np.maximum.reduce(sys.priors.matrix() @ np.asarray(integrand)))
+
+
+def lab_trials(seed, draw_system=random_preserving_system):
+    """The maximal-inequality trial stream of the lab-sweep benchmark: (system, xi, k), 1,000 draws."""
+    rng = np.random.default_rng([seed, 1])
+    for _ in range(1000):
+        n = int(rng.integers(2, 7))
+        sys_ = draw_system(n, rng)
+        xi = Rv(tuple(rng.uniform(-1.0, 1.0, n)))
+        yield sys_, xi, int(rng.integers(1, 9))
+
+
+class TestRecordsOnObjects:
+    """A map holds its orbit record and a system its facts and matrix; no audit looks either up by hash."""
+
+    def test_warm_audits_hash_no_system_or_map(self, monkeypatch):
+        sys_ = FiniteSystem(3, UNIFORM3, FiniteMap((1, 2, 0)))
+        x = Rv((0.1, -0.4, 0.9))
+
+        def audits():
+            is_ergodic(sys_)
+            fixed_space_audit(sys_)
+            indecomposability_audit(sys_)
+            slln_audit(sys_, x)
+            maximal_ergodic_check(sys_, x, 4)
+
+        audits()
+        hashed = []
+        for cls in (FiniteSystem, FiniteMap):
+            unhooked = cls.__hash__
+
+            def counting(self, unhooked=unhooked):
+                hashed.append(type(self).__name__)
+                return unhooked(self)
+
+            monkeypatch.setattr(cls, "__hash__", counting)
+        assert hash(sys_) == hash(FiniteSystem(3, UNIFORM3, FiniteMap((1, 2, 0))))
+        assert hashed  # the hook counts
+        hashed.clear()
+        audits()
+        for _ in range(5):
+            slln_audit(sys_, x)
+        assert hashed == []
+
+    def test_records_die_with_their_objects(self):
+        sys_ = FiniteSystem(3, UNIFORM3, FiniteMap((1, 2, 0)))
+        assert sys_.facts.preserving
+        records = [weakref.ref(sys_.facts), weakref.ref(sys_.theta.orbits)]
+        del sys_
+        gc.collect()
+        assert [r() for r in records] == [None, None]
+
+    def test_one_preservation_decision_per_system(self, monkeypatch):
+        decided = []
+        decide = finite.is_expectation_preserving
+
+        def counting(sys_):
+            decided.append(sys_)
+            return decide(sys_)
+
+        monkeypatch.setattr(finite, "is_expectation_preserving", counting)
+        rng = np.random.default_rng(20191)
+        ergodic = 0
+        for _ in range(20):
+            sys_ = random_preserving_system(int(rng.integers(2, 7)), rng)
+            ergodic += is_ergodic(sys_)
+            fixed_space_audit(sys_)
+            indecomposability_audit(sys_)
+            for _ in range(50):
+                slln_audit(sys_, Rv(tuple(rng.uniform(-1.0, 1.0, sys_.n))))
+            assert len(decided) == 1 and decided.pop() is sys_
+        assert 0 < ergodic < 20
+
+    def test_system_matrix_is_read_only_and_shared_with_the_facts(self):
+        sys_ = FiniteSystem(3, UNIFORM3, CYCLE3)
+        assert not sys_.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            sys_.matrix[0, 0] = 0.0
+        assert sys_.facts.matrix is sys_.matrix
+        assert np.array_equal(sys_.matrix, UNIFORM3.matrix())
+
+    @pytest.mark.parametrize("seed", [7, 20192])
+    def test_maximal_check_matches_a_fresh_matrix_on_the_lab_trials(self, seed):
+        values = set()
+        for sys_, xi, k in lab_trials(seed):
+            got = maximal_ergodic_check(sys_, xi, k)
+            assert got == ref_matrix_maximal_ergodic_check(sys_, xi, k), (sys_, xi, k)
+            values.add(got > 0.0)
+        assert values == {True, False}
+
+    @pytest.mark.parametrize("seed", [7, 20193])
+    def test_random_systems_match_the_sum_route(self, seed):
+        new = lab_trials(seed)
+        ref = lab_trials(seed, ref_sum_random_preserving_system)
+        for (sys_, xi, k), (ref_sys, ref_xi, ref_k) in zip(new, ref, strict=True):
+            assert (sys_, xi, k) == (ref_sys, ref_xi, ref_k)
 
 
 class TestGrandOrbits:
@@ -1547,12 +1664,10 @@ class TestIndecomposabilityAudit:
     def test_every_statement_reads_the_event_capacity_route(self, monkeypatch):
         # with every capacity read as 0 every set is polar, so all four statements hold
         monkeypatch.setattr(finite, "_upper_capacity", lambda matrix, mask: 0.0)
-        finite._system_facts.cache_clear()
         finite._event_capacity.cache_clear()
         try:
             rep = indecomposability_audit(FiniteSystem(2, PriorSet(((0.5, 0.5),)), FiniteMap((0, 1))))
         finally:
-            finite._system_facts.cache_clear()
             finite._event_capacity.cache_clear()
         assert rep.statements == (True, True, True, True)
 

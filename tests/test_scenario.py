@@ -237,6 +237,13 @@ class TestSllnExperiment:
         with pytest.raises(InputError, match="tol must be finite and >= 0"):
             slln_experiment(cos_fn(GRID), default_policy_suite(PARAMS), 1e4, [11], tol=tol)
 
+    @pytest.mark.parametrize("suite, seeds", [(False, [1]), (True, [])], ids=["no-policy", "no-seed"])
+    def test_empty_scenario_family_rejected(self, suite, seeds):
+        # an empty family would report ok with no entries, and max_deviation would raise
+        policies = default_policy_suite(PARAMS) if suite else []
+        with pytest.raises(InputError, match="need at least one policy and one seed"):
+            slln_experiment(cos_fn(GRID), policies, 1.0, seeds)
+
     def test_feedback_policies_are_flagged(self):
         policies = [threshold_policy(PARAMS, 0.0), greedy_policy(PARAMS)]
         rep = slln_experiment(cos_fn(GRID), policies, 2e3, [11], dt=0.01, tol=0.05)
@@ -297,6 +304,11 @@ class TestDpOracle:
     def test_regularity_audit_step_count_must_be_an_integer(self):
         with pytest.raises(InputError, match="n_steps must be an integer"):
             strong_regularity_audit(PARAMS, 0.5, [(0.0, 1.0)], steps=32.0)
+
+    def test_regularity_audit_needs_an_interval(self):
+        # no intervals would report ok with no rows
+        with pytest.raises(InputError, match="need at least one interval"):
+            strong_regularity_audit(PARAMS, 1.0, [])
 
     @pytest.mark.parametrize("m", [256.0, 256.5])
     def test_float_grid_size_rejected_before_any_fft(self, m):
