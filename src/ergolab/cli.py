@@ -135,9 +135,9 @@ def _load_system(path: str) -> tuple[finite.FiniteSystem, dict]:
         if any(isinstance(w, bool) or not isinstance(w, (int, float)) for row in rows for w in row):
             raise InputError(f"prior weights must be numbers; got priors={raw['priors']!r}")
         priors = PriorSet(tuple(ProbVector(tuple(float(w) for w in row)) for row in rows))
+        return finite.FiniteSystem(n, priors, theta), raw
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed system spec: {exc}") from exc
-    return finite.FiniteSystem(n, priors, theta), raw
 
 
 def _require_counts(args, *names: str) -> None:

@@ -118,10 +118,10 @@ class EventSet:
     members: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(int(i) for i in self.members))
-        if self.n < 1:
-            raise InputError("space size must be positive")
-        if any(i < 0 or i >= self.n for i in self.members):
+        # int() would truncate 1.7 and read True or "1" as 1
+        object.__setattr__(self, "n", _count("n", self.n))
+        object.__setattr__(self, "members", frozenset(_count("event member", i, minimum=0) for i in self.members))
+        if any(i >= self.n for i in self.members):
             raise InputError(f"member outside 0..{self.n - 1}")
 
     def indicator(self) -> Rv:

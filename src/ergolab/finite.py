@@ -12,37 +12,37 @@ coordinate-wise min and max), so only the generators this proof cannot
 settle cost a hull-distance LP, and scipy is imported only for such an LP.
 
 Each record lives on the object it describes and dies with it, so no audit
-hashes a system or a map to find it; the package's three caches, each
-bounded, hold prior-set vertices, event capacities and wrapped's kernel rows.
-A map holds its orbits, built on first use by orbit_decomposition: each
-point's preperiod, cycle and grand-orbit label, and the cycles grouped by
-length as read-only (k_L, L) index arrays.  A system holds its read-only
-prior matrix and its facts: the preservation verdict and, on first use, the
-ergodicity verdict, which the fixed-space and four-statement audits read
-rather than decide again.  The verdict and the fixed-space, strong-law and
-four-statement audits name each event by its ascending member tuple and read
-its upper capacity from a bounded cache, keyed by (system facts, members): a
+hashes a system or a map to find it; the package's two caches, each bounded,
+hold prior-set vertices and wrapped's kernel rows.  A map holds its orbits,
+built on first use by orbit_decomposition: each point's preperiod, cycle and
+grand-orbit label, and the cycles grouped by length as read-only (k_L, L)
+index arrays.  A system holds its read-only prior matrix, its preservation
+and ergodicity verdicts, settled on first use so that the fixed-space and
+four-statement audits read rather than decide them again, and a memo of
+upper capacities bounded by CAPACITY_CACHE_SIZE.  The verdict and the
+fixed-space, strong-law and four-statement audits name each event by its
+ascending member tuple and read its capacity through sys.upper_capacity: a
 miss forms max(P @ 1_A) on the event's boolean mask, the same product that
-upper_exp forms on its indicator, so each event of a system is evaluated once
-and every value is bit for bit upper_exp's.  The cache is not filled from one
-matrix product over all subsets: a gemm may sum in another order than the
-per-event gemv and differ in the last bit.  slln_audit's envelope is one
-product pv = P @ x, lower = min(pv) and upper = max(pv); negation commutes
-with round to nearest, so min(P @ x) equals -max(P @ -x), and both ends equal
-lower_exp and upper_exp up to the sign of a zero.  A payoff's cycle means are
-np.add.reduce(vals[members], axis=1) / L per length group, which is np.mean
-of each cycle bit for bit: numpy reduces each row of a C-ordered array by the
-same pairwise sum as a 1-d array.  The per-call paths stay in plain Python
-where numpy's fixed cost per call would exceed the work on a few entries: the
-cycle decomposition walks the image tuple, probability vectors are validated
-on their tuple, generators and hull vertices are pushed forward on their
-weight tuples (np.add.at's additions, in its order), events are member tuples
-built from value lists or subset bitmasks, the envelope's ends are Python min
-and max of one product's entries, and the maximal check and the
-four-statement audit walk the image tuple.  np.unique is avoided because it
-imports numpy.ma on first use, and maxima and sums call np.maximum.reduce and
-np.add.reduce, the ufunc reduction that ndarray.max() and .sum() reach
-through a Python wrapper.
+upper_exp forms on its indicator, so every value is bit for bit upper_exp's
+and each event in the memo is evaluated once per system.  The memo is not
+filled from one matrix product over all subsets: a gemm may sum in another
+order than the per-event gemv and differ in the last bit.  slln_audit's
+envelope is one product pv = P @ x, lower = min(pv) and upper = max(pv);
+negation commutes with round to nearest, so min(P @ x) equals -max(P @ -x),
+and both ends equal lower_exp and upper_exp up to the sign of a zero.  A
+payoff's cycle means are np.add.reduce(vals[members], axis=1) / L per length
+group, which is np.mean of each cycle bit for bit: numpy reduces each row of
+a C-ordered array by the same pairwise sum as a 1-d array.  The per-call
+paths stay in plain Python where numpy's fixed cost per call would exceed the
+work on a few entries: the cycle decomposition walks the image tuple,
+probability vectors are validated on their tuple, generators and hull
+vertices are pushed forward on their weight tuples (np.add.at's additions,
+in its order), events are member tuples built from value lists or subset
+bitmasks, the envelope's ends are Python min and max of one product's
+entries, and the maximal check and the four-statement audit walk the image
+tuple.  np.unique is avoided because it imports numpy.ma on first use, and
+maxima and sums call np.maximum.reduce and np.add.reduce, the ufunc
+reduction that ndarray.max() and .sum() reach through a Python wrapper.
 
 The invariant sets, the unions of grand orbits, are enumerated by one
 generator of (inside, outside) member tuples, built in Python from the
@@ -122,7 +122,7 @@ class FiniteMap:
 
 @dataclass(frozen=True)
 class FiniteSystem:
-    """Outcome-space size, credal prior set, and a self-map."""
+    """Outcome-space size, credal prior set, and a self-map; what its audits share is settled on first use and held here."""
 
     n: int
     priors: PriorSet
@@ -140,10 +140,40 @@ class FiniteSystem:
         """The prior matrix, one row per prior, read-only because every audit of the system shares it."""
         return _read_only(self.priors.matrix(), float)
 
+    def __getstate__(self):
+        # an unpickled array is writeable, so the matrix is rebuilt read-only on first use instead
+        return {k: v for k, v in self.__dict__.items() if k != "matrix"}
+
     @cached_property
-    def facts(self) -> _SystemFacts:
-        """The preservation verdict, the prior matrix and, on first use, the ergodicity verdict."""
-        return _SystemFacts(self, is_expectation_preserving(self), self.matrix)
+    def preserving(self) -> bool:
+        """Whether theta preserves the upper expectation, decided once per system."""
+        return is_expectation_preserving(self)
+
+    @cached_property
+    def ergodic(self) -> bool:
+        """Every invariant set, a union of grand-orbit classes, is polar or co-polar; a ContractError unless preserving."""
+        _require_preserving(self)
+        for inside, outside in _invariant_unions(self):
+            if self.upper_capacity(inside) > TOL_SIMPLEX and self.upper_capacity(outside) > TOL_SIMPLEX:
+                return False
+        return True
+
+    @cached_property
+    def _capacities(self) -> dict[tuple[int, ...], float]:
+        """A plain dict filled from the matrix alone, so it holds no reference back to the system and pickles."""
+        return {}
+
+    def upper_capacity(self, members: tuple[int, ...]) -> float:
+        """Upper capacity of the event with the given ascending members; past CAPACITY_CACHE_SIZE events a miss is not kept."""
+        memo = self._capacities
+        cap = memo.get(members)
+        if cap is None:
+            mask = np.zeros(self.n, dtype=bool)
+            mask[list(members)] = True
+            cap = _upper_capacity(self.matrix, mask)
+            if len(memo) < CAPACITY_CACHE_SIZE:
+                memo[members] = cap
+        return cap
 
 
 def _read_only(entries, dtype=np.intp) -> np.ndarray:
@@ -210,7 +240,7 @@ class OrbitDecomposition:
 #: cache size of the per-prior-set vertex arrays
 VERTEX_CACHE_SIZE = 256
 
-#: cache size of the event capacities, keyed by (system facts, member tuple)
+#: bound of each system's capacity memo: the 2^12 events of the largest system indecomposability_audit accepts
 CAPACITY_CACHE_SIZE = 4096
 
 
@@ -342,42 +372,9 @@ def _upper_capacity(matrix: np.ndarray, mask: np.ndarray) -> float:
     return float(np.maximum.reduce(matrix @ mask.astype(float)))
 
 
-@dataclass(frozen=True, eq=False)
-class _SystemFacts:
-    """What the audits of one system share beyond its map's orbits: settled once per system.
-
-    A system holds one facts object for its lifetime, and eq=False makes it
-    hash by identity, so it keys the event-capacity cache cheaply.  Every
-    capacity the ergodicity verdict, fixed_space_audit, slln_audit and
-    indecomposability_audit read comes from _event_capacity(facts, members).
-    """
-
-    sys: FiniteSystem
-    preserving: bool
-    matrix: np.ndarray
-
-    @cached_property
-    def ergodic(self) -> bool:
-        """Every invariant set, a union of grand-orbit classes, is polar or co-polar."""
-        for inside, outside in _invariant_unions(self.sys):
-            if _event_capacity(self, inside) > TOL_SIMPLEX and _event_capacity(self, outside) > TOL_SIMPLEX:
-                return False
-        return True
-
-
-@lru_cache(maxsize=CAPACITY_CACHE_SIZE)
-def _event_capacity(facts: _SystemFacts, members: tuple[int, ...]) -> float:
-    """Upper capacity of the event with the given ascending members, computed once per system."""
-    mask = np.zeros(facts.sys.n, dtype=bool)
-    mask[list(members)] = True
-    return _upper_capacity(facts.matrix, mask)
-
-
-def _require_preserving(sys: FiniteSystem) -> _SystemFacts:
-    facts = sys.facts
-    if not facts.preserving:
+def _require_preserving(sys: FiniteSystem) -> None:
+    if not sys.preserving:
         raise ContractError("map does not preserve the upper expectation")
-    return facts
 
 
 def _invariant_unions(sys: FiniteSystem):
@@ -404,7 +401,7 @@ def invariant_sets(sys: FiniteSystem) -> list[EventSet]:
 
 def is_ergodic(sys: FiniteSystem) -> bool:
     """Every invariant set is polar or co-polar; decided once per system."""
-    return _require_preserving(sys).ergodic
+    return sys.ergodic
 
 
 @dataclass(frozen=True)
@@ -420,12 +417,12 @@ class FixedSpaceReport:
         return self.simple == self.ergodic
 
 
-def _constant_quasi_surely(facts: _SystemFacts, values: list[float]) -> bool:
+def _constant_quasi_surely(sys: FiniteSystem, values: list[float]) -> bool:
     """Whether the payoff equals some constant off a polar set."""
     # not np.unique: it imports numpy.ma on first use, to ask np.ma.is_masked
     for v in sorted(set(values)):
         off = tuple(i for i, w in enumerate(values) if w != v)
-        if _event_capacity(facts, off) <= TOL_SIMPLEX:
+        if sys.upper_capacity(off) <= TOL_SIMPLEX:
             return True
     return False
 
@@ -441,20 +438,20 @@ def fixed_space_audit(sys: FiniteSystem) -> FixedSpaceReport:
     quasi-surely iff B or its complement is polar, so that stage reads the
     system's ergodicity verdict.  The random payoffs run only on an ergodic
     system, and each event they ask about, {f != v}, is a union of classes
-    whose capacity the verdict has already put in the event-capacity cache.
+    whose capacity the verdict has already put in the system's memo.
     """
-    facts = _require_preserving(sys)
+    _require_preserving(sys)
     dec = sys.theta.orbits
     k = len(dec.cycles)
-    simple = facts.ergodic
+    simple = sys.ergodic
     if simple:
         rng = np.random.default_rng(FIXED_SPACE_SEED)
         for _ in range(FIXED_SPACE_PAYOFFS):
             labels = rng.uniform(-1.0, 1.0, k).tolist()
-            if not _constant_quasi_surely(facts, [labels[c] for c in dec.class_of]):
+            if not _constant_quasi_surely(sys, [labels[c] for c in dec.class_of]):
                 simple = False
                 break
-    return FixedSpaceReport(dimension=k, simple=simple, ergodic=facts.ergodic)
+    return FixedSpaceReport(dimension=k, simple=simple, ergodic=sys.ergodic)
 
 
 @dataclass(frozen=True)
@@ -502,34 +499,34 @@ def slln_audit(sys: FiniteSystem, x: Rv) -> SllnReport:
     computes, and max(pv) equals upper_exp, up to the sign of a zero.  The
     three events (escaping points, moved points, and, for a theta-fixed
     payoff, points whose mean misses upper) are member tuples whose
-    capacities come from the system's event-capacity cache, bit for bit the
+    capacities come from the system's capacity memo, bit for bit the
     product upper_exp forms on the event's indicator.
     """
-    facts = _require_preserving(sys)
+    _require_preserving(sys)
     if x.n != sys.n:
         raise InputError("payoff dimension mismatch")
     vals = x.as_array()
     means = sys.theta.orbits.cycle_means(vals).tolist()
-    pv = (facts.matrix @ vals).tolist()
+    pv = (sys.matrix @ vals).tolist()
     lo, hi = min(pv), max(pv)
     below, above = lo - TOL_DERIVED, hi + TOL_DERIVED
     bad_members = tuple(i for i, m in enumerate(means) if m < below or m > above)
-    bad_cap = _event_capacity(facts, bad_members)
+    bad_cap = sys.upper_capacity(bad_members)
 
     xv = x.values
     moved = tuple(i for i, (j, v) in enumerate(zip(sys.theta.image, xv)) if abs(xv[j] - v) > TOL_SIMPLEX)
-    theta_fixed_qs = _event_capacity(facts, moved) <= TOL_SIMPLEX
+    theta_fixed_qs = sys.upper_capacity(moved) <= TOL_SIMPLEX
 
     fixed_bad_members: tuple[int, ...] = ()
     fixed_bad_cap = 0.0
     equality: bool | None = None
     if theta_fixed_qs:
         fixed_bad_members = tuple(i for i, m in enumerate(means) if abs(m - hi) > 1e-9)
-        fixed_bad_cap = _event_capacity(facts, fixed_bad_members)
+        fixed_bad_cap = sys.upper_capacity(fixed_bad_members)
         equality = fixed_bad_cap <= TOL_SIMPLEX
 
     return SllnReport(
-        ergodic=facts.ergodic,
+        ergodic=sys.ergodic,
         lower=lo,
         upper=hi,
         cycle_means=tuple(means),
@@ -609,9 +606,9 @@ def indecomposability_audit(sys: FiniteSystem) -> IndecomposabilityReport:
     evaluated on the singleton generators of positive capacity; that is an
     elementary reduction, not an appeal to the equivalence being audited.
     The statements are independent in logic, not in arithmetic: they share
-    one capacity definition, the system's event-capacity cache.
+    one capacity definition, the system's capacity memo.
     """
-    facts = _require_preserving(sys)
+    _require_preserving(sys)
     n = sys.n
     if n > 12:
         raise InputError("enumeration budget exceeded: audit requires n <= 12")
@@ -621,12 +618,12 @@ def indecomposability_audit(sys: FiniteSystem) -> IndecomposabilityReport:
     bound = dec.max_preperiod + dec.cycle_lcm
 
     def non_polar(mask: int) -> bool:
-        return _event_capacity(facts, tuple(i for i in range(n) if mask >> i & 1)) > TOL_SIMPLEX
+        return sys.upper_capacity(tuple(i for i in range(n) if mask >> i & 1)) > TOL_SIMPLEX
 
     def preimage(mask: int) -> int:
         return sum(1 << i for i, j in enumerate(img) if mask >> j & 1)
 
-    s1 = facts.ergodic
+    s1 = sys.ergodic
 
     s2 = not any(not non_polar(preimage(a) ^ a) and non_polar(a) and non_polar(full ^ a) for a in range(full + 1))
 

@@ -87,7 +87,16 @@ class TestLabAudit:
         spec = write_spec(tmp_path, {"n": n, "theta": theta, "priors": [[0.5, 0.5]]})
         out = tmp_path / "report.json"
         assert run(["lab-audit", "--spec", spec, "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("input error: malformed system spec: ") and message in err
+        assert not out.exists()
+
+    def test_dimension_mismatch_exit_2(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {"n": 3, "theta": [1, 0], "priors": [[0.5, 0.5]]})
+        out = tmp_path / "report.json"
+        assert run(["lab-audit", "--spec", spec, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: malformed system spec: dimension mismatch: n=3, priors n=2, map n=2\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("priors", [[[True, False]], [["0.5", "0.5"]]], ids=["bool", "string"])

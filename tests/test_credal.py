@@ -70,6 +70,25 @@ class TestValidation:
         with pytest.raises(InputError):
             EventSet(2, frozenset({2}))
 
+    @pytest.mark.parametrize(
+        "members", [{1.7, True}, {1.7}, {1.0}, {True}, {np.bool_(True)}, {"1"}, {None}, {-1}], ids=repr
+    )
+    def test_non_integer_event_member_rejected(self, members):
+        # int() would truncate 1.7 and read True or "1" as 1
+        with pytest.raises(InputError, match="event member must be"):
+            EventSet(3, frozenset(members))
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, np.bool_(True), "2", None], ids=repr)
+    def test_non_integer_event_space_size_rejected(self, n):
+        with pytest.raises(InputError, match="n must be an integer"):
+            EventSet(n, frozenset({1}))
+
+    def test_numpy_integer_event_entries_become_ints(self):
+        event = EventSet(np.int64(3), frozenset({np.int32(1), np.intp(2)}))
+        assert event == EventSet(3, frozenset({1, 2}))
+        assert type(event.n) is int and all(type(i) is int for i in event.members)
+        assert event.complement() == EventSet(3, frozenset({0}))
+
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             upper_exp(VERTEX2, Rv((1.0, 2.0, 3.0)))

@@ -1,6 +1,7 @@
 import gc
 import importlib
 import itertools
+import pickle
 import pkgutil
 import weakref
 
@@ -307,17 +308,8 @@ def _two_point_priors():
 #: a stream of distinct cheap keys for every cached function in the package
 CACHE_KEYS = {
     "ergolab.finite.hull_vertices": lambda: ((priors,) for priors in _two_point_priors()),
-    "ergolab.finite._event_capacity": lambda: _subsets_of_one_system(13),
     "ergolab.wrapped.kernel_row": lambda: ((16, 1.0, 0.01 * j) for j in itertools.count(1)),
 }
-
-
-def _subsets_of_one_system(n):
-    """(facts, members) for all 2^n subsets of the uniform n-cycle: 8,192 distinct keys at n = 13."""
-    priors = PriorSet((ProbVector(tuple(1.0 / n for _ in range(n))),))
-    facts = FiniteSystem(n, priors, FiniteMap(tuple((i + 1) % n for i in range(n)))).facts
-    for bits in range(1 << n):
-        yield facts, tuple(i for i in range(n) if bits >> i & 1)
 
 
 def package_caches():
@@ -472,7 +464,7 @@ def ref_random_preserving_system(n: int, rng: np.random.Generator) -> FiniteSyst
 
 
 class TestSystemCacheDifferential:
-    """Per-system facts and matrix capacities agree with the route they replaced, under ==."""
+    """Per-system verdicts and matrix capacities agree with the route they replaced, under ==."""
 
     @staticmethod
     def payoffs(sys_, rng, count=3):
@@ -522,10 +514,10 @@ class TestSystemCacheDifferential:
 # The union-find grand orbits, the invariant-set enumerations and the
 # integer-bitmask subset tables that the cycle-decomposition route replaced,
 # copied verbatim except that each name carries a ref_ prefix and the grand
-# orbits are a (class_of, classes) pair.  The old ergodicity verdict (a
+# orbits are a (class_of, classes) pair.  The old ergodicity verdict (then a
 # cached property of the per-system facts) is copied as ref_facts_ergodic,
 # and ref_orbit_fixed_space_audit decides the 0/1 stage on every labeling and
-# reads ref_facts_ergodic instead of facts.ergodic.
+# reads ref_facts_ergodic instead of the system's ergodic verdict.
 
 
 def ref_grand_orbits(theta: FiniteMap) -> tuple[tuple[int, ...], tuple[EventSet, ...]]:
@@ -594,7 +586,7 @@ def ref_invariant_sets(sys: FiniteSystem) -> list[EventSet]:
 def ref_orbit_fixed_space_audit(
     sys: FiniteSystem, random_payoffs: int = 5, seed: int = 0
 ) -> FixedSpaceReport:
-    facts = finite._require_preserving(sys)
+    finite._require_preserving(sys)
     class_of, classes = ref_grand_orbits(sys.theta)
     k = len(classes)
     if k > MAX_ENUM_BITS:
@@ -603,17 +595,17 @@ def ref_orbit_fixed_space_audit(
     simple = True
     for bits in range(1 << k):
         labels = np.asarray([(bits >> j) & 1 for j in range(k)], dtype=float)
-        if not finite._constant_quasi_surely(facts, labels[class_of].tolist()):
+        if not finite._constant_quasi_surely(sys, labels[class_of].tolist()):
             simple = False
             break
     if simple:
         rng = np.random.default_rng(seed)
         for _ in range(random_payoffs):
             labels = rng.uniform(-1.0, 1.0, k)
-            if not finite._constant_quasi_surely(facts, labels[class_of].tolist()):
+            if not finite._constant_quasi_surely(sys, labels[class_of].tolist()):
                 simple = False
                 break
-    return FixedSpaceReport(dimension=k, simple=simple, ergodic=ref_facts_ergodic(sys, facts.matrix))
+    return FixedSpaceReport(dimension=k, simple=simple, ergodic=ref_facts_ergodic(sys, sys.matrix))
 
 
 def ref_maximal_ergodic_check(sys: FiniteSystem, xi: Rv, k: int) -> float:
@@ -662,11 +654,11 @@ def ref_preimage_of_mask(pre_of_point: np.ndarray, mask: int) -> int:
 
 
 def ref_indecomposability_audit(sys: FiniteSystem) -> IndecomposabilityReport:
-    facts = finite._require_preserving(sys)
+    finite._require_preserving(sys)
     n = sys.n
     if n > 12:
         raise InputError("enumeration budget exceeded: audit requires n <= 12")
-    vtab = ref_capacity_table(facts.matrix)
+    vtab = ref_capacity_table(sys.matrix)
     full = (1 << n) - 1
     pre_pt = ref_preimage_masks(sys.theta)
     dec = orbit_decomposition(sys.theta)
@@ -756,9 +748,9 @@ class TestOrbitTableDifferential:
             self.assert_same(random_preserving_system(n, rng), rng, tally)
         assert 0 < tally["indecomposable"] < tally["systems"] == 500
 
-    def test_four_statement_audit_at_its_size_guard(self):
-        # n = 9-12: the audits ask for more events than the event-capacity cache holds, so
-        # the second pass finds each system's events evicted and evaluates them again
+    def test_four_statement_audit_at_its_size_guard(self, capacity_evaluations):
+        # n = 9-12: the audits ask for more events than one capacity memo holds, and the
+        # second pass finds every one of a system's 2^n events in that system's memo
         rng = np.random.default_rng(20194)
         uniform = PriorSet((ProbVector(tuple(1 / 12 for _ in range(12))),))
         systems = [random_preserving_system(int(rng.integers(9, 13)), rng) for _ in range(40)]
@@ -767,16 +759,18 @@ class TestOrbitTableDifferential:
             FiniteSystem(12, uniform, FiniteMap(tuple(6 * (i // 6) + (i + 1) % 6 for i in range(12)))),
         ]
         indecomposable = 0
+        capacity_evaluations.clear()
         for sys_ in systems:
             report = indecomposability_audit(sys_)
             assert report == ref_indecomposability_audit(sys_), sys_
             indecomposable += all(report.statements)
         assert {sys_.n for sys_ in systems} == {9, 10, 11, 12}
         assert 0 < indecomposable < len(systems)
-        misses = finite._event_capacity.cache_info().misses
+        assert len(capacity_evaluations) > finite.CAPACITY_CACHE_SIZE
+        capacity_evaluations.clear()
         for sys_ in systems:
             assert indecomposability_audit(sys_) == ref_indecomposability_audit(sys_), sys_
-        assert finite._event_capacity.cache_info().misses - misses > finite.CAPACITY_CACHE_SIZE
+        assert capacity_evaluations == []
 
 
 def ref_orbit_decomposition(theta: FiniteMap) -> finite.OrbitDecomposition:
@@ -1044,14 +1038,14 @@ class TestNumpyOverheadDifferential:
         systems = [s for n in (1, 2, 3, 4) for s in enumerate_preserving_systems(n)]
         systems += [random_preserving_system(int(rng.integers(1, 9)), rng) for _ in range(300)]
         for sys_ in systems:
-            matrix = sys_.facts.matrix
+            matrix = sys_.matrix
             class_of = np.asarray(orbit_decomposition(sys_.theta).class_of)
             k = int(class_of.max()) + 1
             for _ in range(4):
                 labels = rng.choice(labels_pool, k)
                 labels[rng.uniform(size=k) < 0.2] = rng.uniform(-1.0, 1.0)
                 values = labels[class_of]
-                verdict = finite._constant_quasi_surely(sys_.facts, values.tolist())
+                verdict = finite._constant_quasi_surely(sys_, values.tolist())
                 assert verdict == ref_unique_constant_quasi_surely(matrix, values), (sys_, values)
                 verdicts.add(verdict)
         assert verdicts == {True, False}
@@ -1099,23 +1093,22 @@ class TestEventCapacityCache:
         kinds = {"preserving": 0, "not_preserving": 0}
         checked = 0
         for sys_ in capacity_test_systems():
-            facts = sys_.facts
-            kinds["preserving" if facts.preserving else "not_preserving"] += 1
+            kinds["preserving" if sys_.preserving else "not_preserving"] += 1
             for members, mask in subsets(sys_.n):
-                got = finite._event_capacity(facts, members)
-                assert float_bytes(got) == float_bytes(finite._upper_capacity(facts.matrix, mask)), (sys_, members)
+                got = sys_.upper_capacity(members)
+                assert float_bytes(got) == float_bytes(finite._upper_capacity(sys_.matrix, mask)), (sys_, members)
                 indicator = EventSet(sys_.n, frozenset(members)).indicator()
                 assert float_bytes(got) == float_bytes(upper_exp(sys_.priors, indicator)), (sys_, members)
                 checked += 1
         assert kinds["preserving"] > 970 and kinds["not_preserving"] > 0
-        # more events than the cache holds, so entries are evicted and refilled
+        # more events in all than one system's memo holds
         assert checked > 2 * finite.CAPACITY_CACHE_SIZE
 
     def test_one_product_envelope_matches_two_products(self):
         rng = np.random.default_rng(20242)
         tally = {"reports": 0, "zero_sign_differs": 0}
         for sys_ in capacity_test_systems():
-            matrix = sys_.facts.matrix
+            matrix = sys_.matrix
             for x in envelope_payoffs(rng, sys_.n):
                 v = x.as_array()
                 pv = (matrix @ v).tolist()
@@ -1140,13 +1133,13 @@ class TestEventCapacityCache:
         # two systems with the same map and members but different priors
         a = FiniteSystem(2, PriorSet(((0.5, 0.5),)), FiniteMap((0, 1)))
         b = FiniteSystem(2, PriorSet(((1.0, 0.0),)), FiniteMap((0, 1)))
-        assert finite._event_capacity(a.facts, (1,)) == 0.5
-        assert finite._event_capacity(b.facts, (1,)) == 0.0
+        assert a.upper_capacity((1,)) == 0.5
+        assert b.upper_capacity((1,)) == 0.0
 
 
 @pytest.fixture
 def capacity_evaluations(monkeypatch):
-    """The member tuples of every event whose capacity is computed, not read from the cache."""
+    """The member tuples of every event whose capacity is computed, not read from a system's memo."""
     calls = []
     upper_capacity = finite._upper_capacity
 
@@ -1155,7 +1148,6 @@ def capacity_evaluations(monkeypatch):
         return upper_capacity(matrix, mask)
 
     monkeypatch.setattr(finite, "_upper_capacity", counting)
-    finite._event_capacity.cache_clear()
     return calls
 
 
@@ -1237,8 +1229,19 @@ class TestMapCaches:
             cached(*args)
         assert cached.cache_info().currsize <= maxsize
 
+    def test_capacity_memo_is_bounded(self):
+        # all 8,192 subsets of the uniform 13-cycle: twice the events one memo keeps
+        n = 13
+        priors = PriorSet((ProbVector(tuple(1.0 / n for _ in range(n))),))
+        sys_ = FiniteSystem(n, priors, FiniteMap(tuple((i + 1) % n for i in range(n))))
+        for _ in range(2):
+            for members, mask in subsets(n):
+                got = sys_.upper_capacity(members)
+                assert float_bytes(got) == float_bytes(finite._upper_capacity(sys_.matrix, mask)), members
+        assert len(sys_._capacities) == finite.CAPACITY_CACHE_SIZE
+
     def test_cached_prior_matrix_is_read_only(self):
-        matrix = FiniteSystem(3, UNIFORM3, CYCLE3).facts.matrix
+        matrix = FiniteSystem(3, UNIFORM3, CYCLE3).matrix
         assert not matrix.flags.writeable
         with pytest.raises(ValueError):
             matrix[0, 0] = 0.0
@@ -1309,7 +1312,7 @@ def lab_trials(seed, draw_system=random_preserving_system):
 
 
 class TestRecordsOnObjects:
-    """A map holds its orbit record and a system its facts and matrix; no audit looks either up by hash."""
+    """A map holds its orbit record and a system its verdicts, matrix and capacity memo; no audit looks either up by hash."""
 
     def test_warm_audits_hash_no_system_or_map(self, monkeypatch):
         sys_ = FiniteSystem(3, UNIFORM3, FiniteMap((1, 2, 0)))
@@ -1342,8 +1345,8 @@ class TestRecordsOnObjects:
 
     def test_records_die_with_their_objects(self):
         sys_ = FiniteSystem(3, UNIFORM3, FiniteMap((1, 2, 0)))
-        assert sys_.facts.preserving
-        records = [weakref.ref(sys_.facts), weakref.ref(sys_.theta.orbits)]
+        assert sys_.preserving
+        records = [weakref.ref(sys_), weakref.ref(sys_.theta.orbits)]
         del sys_
         gc.collect()
         assert [r() for r in records] == [None, None]
@@ -1369,13 +1372,66 @@ class TestRecordsOnObjects:
             assert len(decided) == 1 and decided.pop() is sys_
         assert 0 < ergodic < 20
 
-    def test_system_matrix_is_read_only_and_shared_with_the_facts(self):
+    def test_system_matrix_is_read_only_and_shared_with_the_capacity_memo(self, monkeypatch):
         sys_ = FiniteSystem(3, UNIFORM3, CYCLE3)
         assert not sys_.matrix.flags.writeable
         with pytest.raises(ValueError):
             sys_.matrix[0, 0] = 0.0
-        assert sys_.facts.matrix is sys_.matrix
+        read = []
+        monkeypatch.setattr(finite, "_upper_capacity", lambda matrix, mask: read.append(matrix) or 0.0)
+        sys_.upper_capacity((0,))
+        assert read[0] is sys_.matrix
         assert np.array_equal(sys_.matrix, UNIFORM3.matrix())
+
+    @staticmethod
+    def audit(sys_, rng):
+        """Every audit of the system, so that each of its records is built and its memo filled."""
+        x = Rv(tuple(rng.uniform(-1.0, 1.0, sys_.n)))
+        return (
+            is_ergodic(sys_),
+            fixed_space_audit(sys_),
+            indecomposability_audit(sys_),
+            slln_audit(sys_, x),
+            maximal_ergodic_check(sys_, x, 4),
+        )
+
+    def test_audited_system_records_die_at_del_without_the_collector(self):
+        sys_ = random_preserving_system(6, np.random.default_rng(1))
+        self.audit(sys_, np.random.default_rng(2))
+        records = [weakref.ref(sys_.matrix), weakref.ref(sys_.theta.orbits)]
+        gc.disable()
+        try:
+            del sys_
+            assert [r() is None for r in records] == [True, True]
+        finally:
+            gc.enable()
+
+    def test_dropped_audited_systems_leave_nothing_reachable(self):
+        rng = np.random.default_rng(1)
+        objects = []
+        for _ in range(300):
+            sys_ = random_preserving_system(6, rng)
+            slln_audit(sys_, Rv(tuple(rng.uniform(-1.0, 1.0, 6))))
+            fixed_space_audit(sys_)
+            objects += [weakref.ref(sys_), weakref.ref(sys_.theta)]
+        del sys_
+        gc.collect()
+        assert [r for r in objects if r() is not None] == []
+
+    def test_audited_system_round_trips_through_pickle(self):
+        rng = np.random.default_rng(20195)
+        ergodic = 0
+        for _ in range(20):
+            sys_ = random_preserving_system(int(rng.integers(2, 7)), rng)
+            seed = int(rng.integers(0, 2**32))
+            reports = self.audit(sys_, np.random.default_rng(seed))
+            copy = pickle.loads(pickle.dumps(sys_))
+            assert copy == sys_
+            assert (copy.preserving, copy.ergodic) == (sys_.preserving, sys_.ergodic)
+            assert not copy.matrix.flags.writeable and np.array_equal(copy.matrix, sys_.matrix)
+            assert self.audit(copy, np.random.default_rng(seed)) == reports
+            ergodic += copy.ergodic
+        assert 0 < ergodic < 20
 
     @pytest.mark.parametrize("seed", [7, 20192])
     def test_maximal_check_matches_a_fresh_matrix_on_the_lab_trials(self, seed):
@@ -1664,11 +1720,7 @@ class TestIndecomposabilityAudit:
     def test_every_statement_reads_the_event_capacity_route(self, monkeypatch):
         # with every capacity read as 0 every set is polar, so all four statements hold
         monkeypatch.setattr(finite, "_upper_capacity", lambda matrix, mask: 0.0)
-        finite._event_capacity.cache_clear()
-        try:
-            rep = indecomposability_audit(FiniteSystem(2, PriorSet(((0.5, 0.5),)), FiniteMap((0, 1))))
-        finally:
-            finite._event_capacity.cache_clear()
+        rep = indecomposability_audit(FiniteSystem(2, PriorSet(((0.5, 0.5),)), FiniteMap((0, 1))))
         assert rep.statements == (True, True, True, True)
 
     def test_budget_guard(self):
