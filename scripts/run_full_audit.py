@@ -31,11 +31,15 @@ def main(argv=None):
     # two swaps under the uniform prior: not ergodic, so every statement is false
     swaps_path = outdir / "two_swaps.json"
     swaps_path.write_text(json.dumps({"n": 4, "theta": [1, 0, 3, 2], "priors": [[0.25] * 4]}))
-    # the largest system the four-statement audit accepts: its 2^12 events fill one capacity memo
+    # the largest system the four-statement audit accepts: statement (2) walks all 2^12 events
     cycle12_path = outdir / "twelve_cycle.json"
     cycle12_path.write_text(
         json.dumps({"n": 12, "theta": [(i + 1) % 12 for i in range(12)], "priors": [[1 / 12] * 12]})
     )
+
+    # two points of weight 6e-13 each: each is polar, and so is their union
+    polar_pair_path = outdir / "polar_pair.json"
+    polar_pair_path.write_text(json.dumps({"n": 3, "theta": [0, 1, 2], "priors": [[6e-13, 6e-13, 1 - 1.2e-12]]}))
 
     runs = [
         ("lab-audit three-cycle", 0,
@@ -44,6 +48,8 @@ def main(argv=None):
          ["lab-audit", "--spec", str(swaps_path), "--out", str(outdir / "lab_audit_swaps.json")]),
         ("lab-audit uniform 12-cycle", 0,
          ["lab-audit", "--spec", str(cycle12_path), "--out", str(outdir / "lab_audit_cycle12.json")]),
+        ("lab-audit union of polar points", 0,
+         ["lab-audit", "--spec", str(polar_pair_path), "--out", str(outdir / "lab_audit_polar_pair.json")]),
         ("lab-enumerate n=3", 0,
          ["lab-enumerate", "--n", "3", "--out", str(outdir / "lab_enumerate_n3.json")]),
         ("gheat solve cos t=1", 0,

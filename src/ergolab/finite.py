@@ -18,35 +18,29 @@ built on first use by orbit_decomposition: each point's preperiod, cycle and
 grand-orbit label, and the cycles grouped by length as read-only (k_L, L)
 index arrays.  A system holds its read-only prior matrix, its preservation
 and ergodicity verdicts, settled on first use so that the fixed-space and
-four-statement audits read rather than decide them again, and a memo of
-upper capacities bounded by CAPACITY_CACHE_SIZE.  The verdict and the
-fixed-space, strong-law and four-statement audits name each event by its
-ascending member tuple and read its capacity through sys.upper_capacity: a
-miss forms max(P @ 1_A) on the event's boolean mask, the same product that
-upper_exp forms on its indicator, so every value is bit for bit upper_exp's
-and each event in the memo is evaluated once per system.  The memo is not
-filled from one matrix product over all subsets: a gemm may sum in another
-order than the per-event gemv and differ in the last bit.  slln_audit's
-envelope is one product pv = P @ x, lower = min(pv) and upper = max(pv);
-negation commutes with round to nearest, so min(P @ x) equals -max(P @ -x),
-and both ends equal lower_exp and upper_exp up to the sign of a zero.  A
-payoff's cycle means are np.add.reduce(vals[members], axis=1) / L per length
-group, which is np.mean of each cycle bit for bit: numpy reduces each row of
-a C-ordered array by the same pairwise sum as a 1-d array.  The per-call
-paths stay in plain Python where numpy's fixed cost per call would exceed the
-work on a few entries: the cycle decomposition walks the image tuple,
-probability vectors are validated on their tuple, generators and hull
-vertices are pushed forward on their weight tuples (np.add.at's additions,
-in its order), events are member tuples built from value lists or subset
-bitmasks, the envelope's ends are Python min and max of one product's
-entries, and the maximal check and the four-statement audit walk the image
-tuple.  np.unique is avoided because it imports numpy.ma on first use, and
-maxima and sums call np.maximum.reduce and np.add.reduce, the ufunc
-reduction that ndarray.max() and .sum() reach through a Python wrapper.
-
-The invariant sets, the unions of grand orbits, are enumerated by one
-generator of (inside, outside) member tuples, built in Python from the
-grand-orbit labels, that the ergodicity verdict and invariant_sets share.
+four-statement audits read rather than decide them again, and its support,
+the bitmask of the points some prior weighs above TOL_SIMPLEX.  An event is
+polar iff it misses the support, so polar events form an ideal, and every
+polarity verdict is a mask test; the system is ergodic iff its support lies
+in one grand-orbit class.  Only slln_audit reports capacities, through
+sys.upper_capacity: max(P @ 1_A) on the event's boolean mask, the product
+upper_exp forms on its indicator.  slln_audit's envelope is one product pv =
+P @ x, lower = min(pv) and upper = max(pv); negation commutes with round to
+nearest, so min(P @ x) equals -max(P @ -x), and both ends equal lower_exp
+and upper_exp up to the sign of a zero.  A payoff's cycle means are
+np.add.reduce(vals[members], axis=1) / L per length group, which is np.mean
+of each cycle bit for bit: numpy reduces each row of a C-ordered array by
+the same pairwise sum as a 1-d array.  The per-call paths stay in plain
+Python where numpy's fixed cost per call would exceed the work on a few
+entries: the cycle decomposition walks the image tuple, probability vectors
+are validated on their tuple, generators and hull vertices are pushed
+forward on their weight tuples (np.add.at's additions, in its order), events
+are member tuples or subset bitmasks, the envelope's ends are Python min and
+max of one product's entries, and the maximal check and the four-statement
+audit walk the image tuple.  np.unique is avoided because it imports
+numpy.ma on first use, and maxima and sums call np.maximum.reduce and
+np.add.reduce, the ufunc reduction that ndarray.max() and .sum() reach
+through a Python wrapper.
 
 On a finite space every orbit is preperiodic, so Birkhoff averages are exact
 cycle means, monotone limits of sets are attained after finitely many steps,
@@ -79,7 +73,7 @@ from .credal import (
 #: L-infinity tolerance for convex-hull membership decisions
 HULL_TOL = 1e-10
 
-#: subset-enumeration guard for the exhaustive audits
+#: orbit-class guard of the 2^k enumeration in invariant_sets
 MAX_ENUM_BITS = 20
 
 #: count and seed of fixed_space_audit's random class-constant payoffs
@@ -150,30 +144,41 @@ class FiniteSystem:
         return is_expectation_preserving(self)
 
     @cached_property
-    def ergodic(self) -> bool:
-        """Every invariant set, a union of grand-orbit classes, is polar or co-polar; a ContractError unless preserving."""
-        _require_preserving(self)
-        for inside, outside in _invariant_unions(self):
-            if self.upper_capacity(inside) > TOL_SIMPLEX and self.upper_capacity(outside) > TOL_SIMPLEX:
-                return False
-        return True
+    def support(self) -> int:
+        """Bitmask of the points some prior weighs above TOL_SIMPLEX; an event is polar iff it misses it."""
+        return sum(1 << i for i, w in enumerate(np.maximum.reduce(self.matrix).tolist()) if w > TOL_SIMPLEX)
 
     @cached_property
-    def _capacities(self) -> dict[tuple[int, ...], float]:
-        """A plain dict filled from the matrix alone, so it holds no reference back to the system and pickles."""
-        return {}
+    def _weighted(self) -> int:
+        """Bitmask of the points some prior weighs other than zero."""
+        return sum(1 << i for i, column in enumerate(self.matrix.T.tolist()) if any(column))
+
+    @cached_property
+    def ergodic(self) -> bool:
+        """Every invariant set is polar or co-polar, that is the support lies in one grand-orbit class.
+
+        A ContractError unless theta preserves the upper expectation.
+        """
+        _require_preserving(self)
+        support = self.support
+        return len({c for i, c in enumerate(self.theta.orbits.class_of) if support >> i & 1}) <= 1
 
     def upper_capacity(self, members: tuple[int, ...]) -> float:
-        """Upper capacity of the event with the given ascending members; past CAPACITY_CACHE_SIZE events a miss is not kept."""
-        memo = self._capacities
-        cap = memo.get(members)
-        if cap is None:
-            mask = np.zeros(self.n, dtype=bool)
-            mask[list(members)] = True
-            cap = _upper_capacity(self.matrix, mask)
-            if len(memo) < CAPACITY_CACHE_SIZE:
-                memo[members] = cap
-        return cap
+        """Upper capacity max(P @ 1_A) of the event with the given members.
+
+        An event no prior weighs is 0.0 without the product, which is the
+        product's own +0.0: each row weighs some non-member above zero.
+        """
+        if _misses(self._weighted, members):
+            return 0.0
+        mask = np.zeros(self.n, dtype=bool)
+        mask[list(members)] = True
+        return _upper_capacity(self.matrix, mask)
+
+
+def _misses(points: int, members) -> bool:
+    """Whether no member lies in the bitmask of points."""
+    return not any(points >> i & 1 for i in members)
 
 
 def _read_only(entries, dtype=np.intp) -> np.ndarray:
@@ -239,9 +244,6 @@ class OrbitDecomposition:
 
 #: cache size of the per-prior-set vertex arrays
 VERTEX_CACHE_SIZE = 256
-
-#: bound of each system's capacity memo: the 2^12 events of the largest system indecomposability_audit accepts
-CAPACITY_CACHE_SIZE = 4096
 
 
 def orbit_decomposition(theta: FiniteMap) -> OrbitDecomposition:
@@ -377,8 +379,8 @@ def _require_preserving(sys: FiniteSystem) -> None:
         raise ContractError("map does not preserve the upper expectation")
 
 
-def _invariant_unions(sys: FiniteSystem):
-    """Ascending (inside, outside) members of all B with theta^{-1}(B) = B, the 2^k unions of grand-orbit classes."""
+def invariant_sets(sys: FiniteSystem) -> list[EventSet]:
+    """All B with theta^{-1}(B) = B, the 2^k unions of grand-orbit classes."""
     if sys.n > 24:
         raise InputError("enumeration budget exceeded: n must be <= 24")
     dec = sys.theta.orbits
@@ -386,17 +388,7 @@ def _invariant_unions(sys: FiniteSystem):
     if k > MAX_ENUM_BITS:
         raise InputError(f"enumeration budget exceeded: {k} orbit classes")
     class_of = dec.class_of
-    for bits in range(1 << k):
-        inside: list[int] = []
-        outside: list[int] = []
-        for i, c in enumerate(class_of):
-            (inside if bits >> c & 1 else outside).append(i)
-        yield tuple(inside), tuple(outside)
-
-
-def invariant_sets(sys: FiniteSystem) -> list[EventSet]:
-    """All B with theta^{-1}(B) = B, as unions of grand-orbit classes."""
-    return [EventSet(sys.n, frozenset(inside)) for inside, _ in _invariant_unions(sys)]
+    return [EventSet(sys.n, frozenset(i for i, c in enumerate(class_of) if bits >> c & 1)) for bits in range(1 << k)]
 
 
 def is_ergodic(sys: FiniteSystem) -> bool:
@@ -418,13 +410,9 @@ class FixedSpaceReport:
 
 
 def _constant_quasi_surely(sys: FiniteSystem, values: list[float]) -> bool:
-    """Whether the payoff equals some constant off a polar set."""
-    # not np.unique: it imports numpy.ma on first use, to ask np.ma.is_masked
-    for v in sorted(set(values)):
-        off = tuple(i for i, w in enumerate(values) if w != v)
-        if sys.upper_capacity(off) <= TOL_SIMPLEX:
-            return True
-    return False
+    """Whether the payoff equals some constant off a polar set, that is takes at most one value on the support."""
+    support = sys.support
+    return len({w for i, w in enumerate(values) if support >> i & 1}) <= 1
 
 
 def fixed_space_audit(sys: FiniteSystem) -> FixedSpaceReport:
@@ -437,8 +425,8 @@ def fixed_space_audit(sys: FiniteSystem) -> FixedSpaceReport:
     labelings are the indicators of the invariant sets B, and 1_B is constant
     quasi-surely iff B or its complement is polar, so that stage reads the
     system's ergodicity verdict.  The random payoffs run only on an ergodic
-    system, and each event they ask about, {f != v}, is a union of classes
-    whose capacity the verdict has already put in the system's memo.
+    system; each is constant quasi-surely iff it takes one value on the
+    system's support, the points some prior weighs above TOL_SIMPLEX.
     """
     _require_preserving(sys)
     dec = sys.theta.orbits
@@ -496,11 +484,12 @@ def slln_audit(sys: FiniteSystem, x: Rv) -> SllnReport:
     product pv = P @ x with lower = min(pv) and upper = max(pv), taken in
     Python on its few entries: round to nearest is symmetric under
     negation, so min(P @ x) equals the -max(P @ -x) that lower_exp
-    computes, and max(pv) equals upper_exp, up to the sign of a zero.  The
-    three events (escaping points, moved points, and, for a theta-fixed
-    payoff, points whose mean misses upper) are member tuples whose
-    capacities come from the system's capacity memo, bit for bit the
-    product upper_exp forms on the event's indicator.
+    computes, and max(pv) equals upper_exp, up to the sign of a zero.  Each
+    of the three events (escaping points, moved points, and, for a
+    theta-fixed payoff, points whose mean misses upper) is polar iff it
+    misses the system's support.  The two reported capacities come from
+    sys.upper_capacity, bit for bit the product upper_exp forms on the
+    event's indicator.
     """
     _require_preserving(sys)
     if x.n != sys.n:
@@ -511,11 +500,11 @@ def slln_audit(sys: FiniteSystem, x: Rv) -> SllnReport:
     lo, hi = min(pv), max(pv)
     below, above = lo - TOL_DERIVED, hi + TOL_DERIVED
     bad_members = tuple(i for i, m in enumerate(means) if m < below or m > above)
-    bad_cap = sys.upper_capacity(bad_members)
+    support = sys.support
 
     xv = x.values
-    moved = tuple(i for i, (j, v) in enumerate(zip(sys.theta.image, xv)) if abs(xv[j] - v) > TOL_SIMPLEX)
-    theta_fixed_qs = sys.upper_capacity(moved) <= TOL_SIMPLEX
+    moved = (i for i, (j, v) in enumerate(zip(sys.theta.image, xv)) if abs(xv[j] - v) > TOL_SIMPLEX)
+    theta_fixed_qs = _misses(support, moved)
 
     fixed_bad_members: tuple[int, ...] = ()
     fixed_bad_cap = 0.0
@@ -523,7 +512,7 @@ def slln_audit(sys: FiniteSystem, x: Rv) -> SllnReport:
     if theta_fixed_qs:
         fixed_bad_members = tuple(i for i, m in enumerate(means) if abs(m - hi) > 1e-9)
         fixed_bad_cap = sys.upper_capacity(fixed_bad_members)
-        equality = fixed_bad_cap <= TOL_SIMPLEX
+        equality = _misses(support, fixed_bad_members)
 
     return SllnReport(
         ergodic=sys.ergodic,
@@ -531,8 +520,8 @@ def slln_audit(sys: FiniteSystem, x: Rv) -> SllnReport:
         upper=hi,
         cycle_means=tuple(means),
         bad_members=bad_members,
-        bad_capacity=bad_cap,
-        bounds_hold_qs=bad_cap <= TOL_SIMPLEX,
+        bad_capacity=sys.upper_capacity(bad_members),
+        bounds_hold_qs=_misses(support, bad_members),
         theta_fixed_qs=theta_fixed_qs,
         fixed_bad_members=fixed_bad_members,
         fixed_bad_capacity=fixed_bad_cap,
@@ -593,20 +582,20 @@ def indecomposability_audit(sys: FiniteSystem) -> IndecomposabilityReport:
     """Evaluate the four equivalent forms of indecomposability, each by its own logic.
 
     (1) every invariant set is polar or co-polar: the system's ergodicity
-        verdict, decided once over the unions of grand orbits;
+        verdict, that its support lies in one grand orbit;
     (2) every almost-invariant set (preimage symmetric difference polar) is
         polar or co-polar, over all 2^n subsets;
     (3) for every non-polar A the complement of union over n >= 1 of
         theta^{-n} A is polar, computed by preimage fixpoint iteration;
-    (4) for every pair of non-polar sets A, B some theta^{-n} A meets B with
-        positive upper capacity, searched up to max preperiod + lcm of cycle
+    (4) for every pair of non-polar sets A, B some theta^{-n} A meets B in a
+        non-polar set, searched up to max preperiod + lcm of cycle
         lengths, beyond which theta^{-n} A is periodic in n.
 
     Statements (3) and (4) are monotone in the quantified sets, so they are
-    evaluated on the singleton generators of positive capacity; that is an
-    elementary reduction, not an appeal to the equivalence being audited.
-    The statements are independent in logic, not in arithmetic: they share
-    one capacity definition, the system's capacity memo.
+    evaluated on the non-polar singletons; that is an elementary reduction,
+    not an appeal to the equivalence being audited.  The statements are
+    independent in logic, not in their notion of a null set: they share one
+    polarity definition, an event missing the system's support.
     """
     _require_preserving(sys)
     n = sys.n
@@ -617,8 +606,10 @@ def indecomposability_audit(sys: FiniteSystem) -> IndecomposabilityReport:
     dec = sys.theta.orbits
     bound = dec.max_preperiod + dec.cycle_lcm
 
+    support = sys.support
+
     def non_polar(mask: int) -> bool:
-        return sys.upper_capacity(tuple(i for i in range(n) if mask >> i & 1)) > TOL_SIMPLEX
+        return bool(mask & support)
 
     def preimage(mask: int) -> int:
         return sum(1 << i for i, j in enumerate(img) if mask >> j & 1)
@@ -627,10 +618,10 @@ def indecomposability_audit(sys: FiniteSystem) -> IndecomposabilityReport:
 
     s2 = not any(not non_polar(preimage(a) ^ a) and non_polar(a) and non_polar(full ^ a) for a in range(full + 1))
 
-    support = [a for a in range(n) if non_polar(1 << a)]
+    points = [a for a in range(n) if non_polar(1 << a)]
 
     s3 = True
-    for a in support:
+    for a in points:
         u = preimage(1 << a)
         while (nxt := u | preimage(u)) != u:
             u = nxt
@@ -639,13 +630,13 @@ def indecomposability_audit(sys: FiniteSystem) -> IndecomposabilityReport:
             break
 
     s4 = True
-    for b in support:
+    for b in points:
         # theta^k(b) for 1 <= k <= bound
         reached, cur = set(), b
         for _ in range(bound):
             cur = img[cur]
             reached.add(cur)
-        if not reached.issuperset(support):
+        if not reached.issuperset(points):
             s4 = False
             break
 

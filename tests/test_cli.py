@@ -42,6 +42,17 @@ class TestLabAudit:
         assert report["four_statements"] == [False, False, False, False]
         assert report["four_statements_consistent"] is True
 
+    def test_union_of_polar_points_exit_0(self, tmp_path):
+        # points 0 and 1 weigh 6e-13 each: each is polar, and so is their union
+        spec = write_spec(tmp_path, {"n": 3, "theta": [0, 1, 2], "priors": [[6e-13, 6e-13, 1 - 1.2e-12]]})
+        out = tmp_path / "report.json"
+        assert run(["lab-audit", "--spec", spec, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["ergodic"] is True
+        assert report["four_statements"] == [True, True, True, True]
+        assert report["fixed_space_simple"] is True and report["slln_ok"] is True
+        assert report["ok"] is True
+
     def test_bad_weights_exit_2(self, tmp_path):
         spec = write_spec(tmp_path, {"n": 2, "theta": [0, 1], "priors": [[0.5, 0.4]]})
         assert run(["lab-audit", "--spec", spec]) == 2

@@ -748,9 +748,8 @@ class TestOrbitTableDifferential:
             self.assert_same(random_preserving_system(n, rng), rng, tally)
         assert 0 < tally["indecomposable"] < tally["systems"] == 500
 
-    def test_four_statement_audit_at_its_size_guard(self, capacity_evaluations):
-        # n = 9-12: the audits ask for more events than one capacity memo holds, and the
-        # second pass finds every one of a system's 2^n events in that system's memo
+    def test_four_statement_audit_at_its_size_guard(self):
+        # n = 9-12, up to the audit's n <= 12 guard
         rng = np.random.default_rng(20194)
         uniform = PriorSet((ProbVector(tuple(1 / 12 for _ in range(12))),))
         systems = [random_preserving_system(int(rng.integers(9, 13)), rng) for _ in range(40)]
@@ -759,18 +758,12 @@ class TestOrbitTableDifferential:
             FiniteSystem(12, uniform, FiniteMap(tuple(6 * (i // 6) + (i + 1) % 6 for i in range(12)))),
         ]
         indecomposable = 0
-        capacity_evaluations.clear()
         for sys_ in systems:
             report = indecomposability_audit(sys_)
             assert report == ref_indecomposability_audit(sys_), sys_
             indecomposable += all(report.statements)
         assert {sys_.n for sys_ in systems} == {9, 10, 11, 12}
         assert 0 < indecomposable < len(systems)
-        assert len(capacity_evaluations) > finite.CAPACITY_CACHE_SIZE
-        capacity_evaluations.clear()
-        for sys_ in systems:
-            assert indecomposability_audit(sys_) == ref_indecomposability_audit(sys_), sys_
-        assert capacity_evaluations == []
 
 
 def ref_orbit_decomposition(theta: FiniteMap) -> finite.OrbitDecomposition:
@@ -1087,11 +1080,10 @@ def envelope_payoffs(rng, n):
 
 
 class TestEventCapacityCache:
-    """The bounded event-capacity cache and the one-product envelope match the routes they replaced."""
+    """The event-capacity route and the one-product envelope match the routes they replaced."""
 
     def test_every_subset_matches_the_per_mask_product(self):
         kinds = {"preserving": 0, "not_preserving": 0}
-        checked = 0
         for sys_ in capacity_test_systems():
             kinds["preserving" if sys_.preserving else "not_preserving"] += 1
             for members, mask in subsets(sys_.n):
@@ -1099,10 +1091,7 @@ class TestEventCapacityCache:
                 assert float_bytes(got) == float_bytes(finite._upper_capacity(sys_.matrix, mask)), (sys_, members)
                 indicator = EventSet(sys_.n, frozenset(members)).indicator()
                 assert float_bytes(got) == float_bytes(upper_exp(sys_.priors, indicator)), (sys_, members)
-                checked += 1
         assert kinds["preserving"] > 970 and kinds["not_preserving"] > 0
-        # more events in all than one system's memo holds
-        assert checked > 2 * finite.CAPACITY_CACHE_SIZE
 
     def test_one_product_envelope_matches_two_products(self):
         rng = np.random.default_rng(20242)
@@ -1137,62 +1126,148 @@ class TestEventCapacityCache:
         assert b.upper_capacity((1,)) == 0.0
 
 
-@pytest.fixture
-def capacity_evaluations(monkeypatch):
-    """The member tuples of every event whose capacity is computed, not read from a system's memo."""
-    calls = []
-    upper_capacity = finite._upper_capacity
-
-    def counting(matrix, mask):
-        calls.append(tuple(np.flatnonzero(mask).tolist()))
-        return upper_capacity(matrix, mask)
-
-    monkeypatch.setattr(finite, "_upper_capacity", counting)
-    return calls
+def permutations(n_max=6):
+    return st.integers(1, n_max).flatmap(lambda n: st.permutations(range(n)).map(FiniteMap))
 
 
-class TestCapacityEvaluationCounts:
-    """Each event of a system is evaluated once, however many audits ask for it; no clock is read."""
+@st.composite
+def tiny_weight_systems(draw, n_max=6):
+    """Preserving systems whose priors hold weights in (0, 1e-12], signed zeros and small negatives.
 
-    def test_each_event_evaluated_once_on_ergodic_catalog_systems(self, capacity_evaluations):
-        calls = capacity_evaluations
-        rng = np.random.default_rng(20243)
-        ergodic = 0
+    Each seed prior gets at most one negative weight, so no pushforward sum
+    falls below -1e-12; on a permutation the seed itself is a prior, so its
+    -0.0 weights survive.
+    """
+    theta = draw(st.one_of(maps(n_max), permutations(n_max)))
+    n = theta.n
+    rows = []
+    for _ in range(draw(st.integers(1, 2))):
+        # 6e-13 twice is a non-polar union of polar points under a capacity threshold
+        small = st.one_of(st.sampled_from([6e-13, 1e-12, 0.0, -0.0]), st.floats(0.0, 1e-12, exclude_min=True))
+        weights = draw(st.lists(small, min_size=n, max_size=n))
+        if draw(st.booleans()):
+            weights[draw(st.integers(0, n - 1))] = draw(st.floats(-1e-12, 0.0, exclude_max=True))
+        ordinary = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(ordinary), max_size=len(ordinary)))
+        rest = 1.0 - sum(w for i, w in enumerate(weights) if i not in ordinary)
+        for i, r in zip(ordinary, raw):
+            weights[i] = rest * r / sum(raw)
+        rows += invariant_prior_set(theta, ProbVector(tuple(weights))).priors
+    return FiniteSystem(n, PriorSet(tuple(rows)), theta)
+
+
+def literal_ergodicity(sys_: FiniteSystem) -> bool:
+    """Every B with theta^{-1}(B) = B, found among all 2^n subsets, is polar or co-polar.
+
+    A set is polar when no prior weighs any of its members above TOL_SIMPLEX.
+    """
+    n = sys_.n
+    top = [max(column) for column in zip(*(p.weights for p in sys_.priors.priors))]
+
+    def polar(b):
+        return all(top[i] <= TOL_SIMPLEX for i in b)
+
+    for members, _ in subsets(n):
+        b = frozenset(members)
+        if frozenset(i for i in range(n) if sys_.theta(i) in b) == b and not (polar(b) or polar(set(range(n)) - b)):
+            return False
+    return True
+
+
+class TestPolarIdeal:
+    """An event is polar iff it misses the support, so a union of polar events is polar."""
+
+    #: two points of weight 6e-13 each under the identity: each is polar, and so is their union
+    TINY_PAIR = FiniteSystem(3, PriorSet(((6e-13, 6e-13, 1 - 1.2e-12),)), FiniteMap((0, 1, 2)))
+
+    def test_union_of_polar_points_is_polar(self):
+        sys_ = self.TINY_PAIR
+        assert is_ergodic(sys_)
+        assert indecomposability_audit(sys_).statements == (True, True, True, True)
+        fixed = fixed_space_audit(sys_)
+        assert fixed.simple and fixed.consistent
+        rng = np.random.default_rng(20251)
+        for _ in range(20):
+            rep = slln_audit(sys_, Rv(tuple(rng.uniform(-1.0, 1.0, 3))))
+            assert rep.bounds_hold_qs and rep.theta_fixed_qs and rep.equality_holds_qs and rep.ok
+            # the union's capacity is still reported, and exceeds the tolerance
+            assert rep.bad_members == (0, 1) and rep.bad_capacity > TOL_SIMPLEX
+        assert sys_.support == 0b100
+
+    def test_support_matches_the_capacity_threshold(self):
+        tally = {"systems": 0, "events": 0, "polar": 0, "ergodic": 0}
+        for sys_ in capacity_test_systems():
+            matrix = sys_.matrix
+            assert not np.any((matrix > 0.0) & (matrix <= TOL_SIMPLEX)), sys_
+            for bits, (members, mask) in enumerate(subsets(sys_.n)):
+                polar = not bits & sys_.support
+                assert polar == (finite._upper_capacity(matrix, mask) <= TOL_SIMPLEX), (sys_, members)
+                tally["events"] += 1
+                tally["polar"] += polar
+            if sys_.preserving:
+                ergodic = is_ergodic(sys_)
+                assert ergodic == ref_facts_ergodic(sys_, matrix), sys_
+                tally["ergodic"] += ergodic
+            tally["systems"] += 1
+        assert tally["systems"] == 1270
+        assert 0 < tally["polar"] < tally["events"] and 0 < tally["ergodic"]
+
+    @given(tiny_weight_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_ergodicity_matches_the_literal_definition(self, sys_):
+        assert sys_.preserving
+        literal = literal_ergodicity(sys_)
+        assert is_ergodic(sys_) == literal
+        assert indecomposability_audit(sys_).statements == (literal,) * 4
+        assert fixed_space_audit(sys_).simple == literal
+        for members, mask in subsets(sys_.n):
+            got = sys_.upper_capacity(members)
+            assert float_bytes(got) == float_bytes(finite._upper_capacity(sys_.matrix, mask)), members
+
+    def test_verdicts_past_the_enumeration_budget(self):
+        # 30 points and 30 orbit classes: past the n <= 24 and 20-class guards of invariant_sets
+        n = 30
+        uniform = PriorSet((ProbVector(tuple(1 / n for _ in range(n))),))
+        one_point = PriorSet((ProbVector((1.0,) + (0.0,) * (n - 1)),))
+        identity = FiniteMap(tuple(range(n)))
+        cycle = FiniteSystem(n, uniform, FiniteMap(tuple((i + 1) % n for i in range(n))))
+        spread = FiniteSystem(n, uniform, identity)
+        pinned = FiniteSystem(n, one_point, identity)
+        assert [is_ergodic(s) for s in (cycle, spread, pinned)] == [True, False, True]
+        assert fixed_space_audit(spread) == FixedSpaceReport(dimension=n, simple=False, ergodic=False)
+        assert fixed_space_audit(pinned) == FixedSpaceReport(dimension=n, simple=True, ergodic=True)
+        x = Rv(tuple(np.random.default_rng(20252).uniform(-1.0, 1.0, n)))
+        assert slln_audit(cycle, x).ok
+        rep = slln_audit(pinned, x)
+        assert rep.ok and rep.bounds_hold_qs and rep.bad_members == tuple(range(1, n)) and rep.bad_capacity == 0.0
+        with pytest.raises(InputError):
+            invariant_sets(spread)
+
+    def test_verdicts_compute_no_capacity(self, monkeypatch):
+        calls = []
+        upper_capacity = finite._upper_capacity
+
+        def counting(matrix, mask):
+            calls.append(tuple(np.flatnonzero(mask).tolist()))
+            return upper_capacity(matrix, mask)
+
+        monkeypatch.setattr(finite, "_upper_capacity", counting)
+        rng = np.random.default_rng(20253)
+        reports = 0
         for n in (1, 2, 3, 4):
             for sys_ in enumerate_preserving_systems(n):
-                calls.clear()
-                if not is_ergodic(sys_):
-                    continue
-                ergodic += 1
-                unions = [inside for inside, _ in finite._invariant_unions(sys_)]
-                assert sorted(calls) == sorted(unions), sys_
-                calls.clear()
+                is_ergodic(sys_)
                 fixed_space_audit(sys_)
-                assert calls == [], sys_
-                payoffs = [Rv(tuple(rng.uniform(-1.0, 1.0, n))) for _ in range(48)]
-                payoffs += TestSystemCacheDifferential.payoffs(sys_, rng, count=0)
-                payoffs.append(cancelling_payoff(rng, n))
-                for x in payoffs:
-                    slln_audit(sys_, x)
-                assert len(calls) == len(set(calls)), (sys_, calls)
-        assert ergodic == 345
-
-    def test_four_statement_audit_evaluates_each_event_once(self, capacity_evaluations):
-        calls = capacity_evaluations
-        ergodic = evaluating = 0
-        for n in (1, 2, 3, 4):
-            for sys_ in enumerate_preserving_systems(n):
-                if not is_ergodic(sys_):
-                    continue
-                ergodic += 1
-                fixed_space_audit(sys_)
-                calls.clear()
                 indecomposability_audit(sys_)
-                assert len(calls) == len(set(calls)), (sys_, calls)
-                evaluating += bool(calls)
-        assert ergodic == 345
-        # statements (2)-(4) ask for events beyond the unions of classes the verdict read
-        assert evaluating > 0
+                assert calls == [], sys_
+                for _ in range(3):
+                    rep = slln_audit(sys_, Rv(tuple(rng.uniform(-1.0, 1.0, n))))
+                    # only the reported capacities, and none for an event no prior weighs
+                    weighed = [m for m in (rep.bad_members, rep.fixed_bad_members) if np.any(sys_.matrix[:, list(m)])]
+                    assert sorted(calls) == sorted(weighed), sys_
+                    calls.clear()
+                    reports += 1
+        assert reports == 3 * 470
 
 
 class TestFiniteMapEntries:
@@ -1229,16 +1304,19 @@ class TestMapCaches:
             cached(*args)
         assert cached.cache_info().currsize <= maxsize
 
-    def test_capacity_memo_is_bounded(self):
-        # all 8,192 subsets of the uniform 13-cycle: twice the events one memo keeps
+    def test_audited_system_holds_no_per_event_record(self):
+        # all 8,192 events of the uniform 13-cycle leave the system's records as they were
         n = 13
         priors = PriorSet((ProbVector(tuple(1.0 / n for _ in range(n))),))
         sys_ = FiniteSystem(n, priors, FiniteMap(tuple((i + 1) % n for i in range(n))))
-        for _ in range(2):
-            for members, mask in subsets(n):
-                got = sys_.upper_capacity(members)
-                assert float_bytes(got) == float_bytes(finite._upper_capacity(sys_.matrix, mask)), members
-        assert len(sys_._capacities) == finite.CAPACITY_CACHE_SIZE
+        assert is_ergodic(sys_) and fixed_space_audit(sys_).simple
+        slln_audit(sys_, Rv(tuple(np.linspace(-1.0, 1.0, n))))
+        records = set(vars(sys_))
+        for members, mask in subsets(n):
+            got = sys_.upper_capacity(members)
+            assert float_bytes(got) == float_bytes(finite._upper_capacity(sys_.matrix, mask)), members
+        assert set(vars(sys_)) == records
+        assert records == {"n", "priors", "theta", "matrix", "preserving", "support", "_weighted", "ergodic"}
 
     def test_cached_prior_matrix_is_read_only(self):
         matrix = FiniteSystem(3, UNIFORM3, CYCLE3).matrix
@@ -1312,7 +1390,7 @@ def lab_trials(seed, draw_system=random_preserving_system):
 
 
 class TestRecordsOnObjects:
-    """A map holds its orbit record and a system its verdicts, matrix and capacity memo; no audit looks either up by hash."""
+    """A map holds its orbit record and a system its verdicts, matrix and support; no audit looks either up by hash."""
 
     def test_warm_audits_hash_no_system_or_map(self, monkeypatch):
         sys_ = FiniteSystem(3, UNIFORM3, FiniteMap((1, 2, 0)))
@@ -1385,7 +1463,7 @@ class TestRecordsOnObjects:
 
     @staticmethod
     def audit(sys_, rng):
-        """Every audit of the system, so that each of its records is built and its memo filled."""
+        """Every audit of the system, so that each of its records is built."""
         x = Rv(tuple(rng.uniform(-1.0, 1.0, sys_.n)))
         return (
             is_ergodic(sys_),
@@ -1717,10 +1795,11 @@ class TestIndecomposabilityAudit:
             count += 1
         assert count > 30  # the sweep actually produced systems
 
-    def test_every_statement_reads_the_event_capacity_route(self, monkeypatch):
-        # with every capacity read as 0 every set is polar, so all four statements hold
-        monkeypatch.setattr(finite, "_upper_capacity", lambda matrix, mask: 0.0)
-        rep = indecomposability_audit(FiniteSystem(2, PriorSet(((0.5, 0.5),)), FiniteMap((0, 1))))
+    def test_every_statement_reads_the_support(self):
+        # with an empty support every set is polar, so all four statements hold
+        sys_ = FiniteSystem(2, PriorSet(((0.5, 0.5),)), FiniteMap((0, 1)))
+        vars(sys_)["support"] = 0
+        rep = indecomposability_audit(sys_)
         assert rep.statements == (True, True, True, True)
 
     def test_budget_guard(self):
