@@ -1243,7 +1243,9 @@ class TestPolarIdeal:
         with pytest.raises(InputError):
             invariant_sets(spread)
 
-    def test_verdicts_compute_no_capacity(self, monkeypatch):
+    @staticmethod
+    def count_capacities(monkeypatch):
+        """The member tuples of every event whose capacity is computed."""
         calls = []
         upper_capacity = finite._upper_capacity
 
@@ -1252,13 +1254,26 @@ class TestPolarIdeal:
             return upper_capacity(matrix, mask)
 
         monkeypatch.setattr(finite, "_upper_capacity", counting)
+        return calls
+
+    def test_four_statement_audit_computes_no_capacity(self, monkeypatch):
+        calls = self.count_capacities(monkeypatch)
+        systems = 0
+        for n in (1, 2, 3, 4):
+            for sys_ in enumerate_preserving_systems(n):
+                indecomposability_audit(sys_)
+                assert calls == [], sys_
+                systems += 1
+        assert systems == 470
+
+    def test_catalog_verdicts_compute_no_capacity(self, monkeypatch):
+        calls = self.count_capacities(monkeypatch)
         rng = np.random.default_rng(20253)
         reports = 0
         for n in (1, 2, 3, 4):
             for sys_ in enumerate_preserving_systems(n):
                 is_ergodic(sys_)
                 fixed_space_audit(sys_)
-                indecomposability_audit(sys_)
                 assert calls == [], sys_
                 for _ in range(3):
                     rep = slln_audit(sys_, Rv(tuple(rng.uniform(-1.0, 1.0, n))))
