@@ -22,24 +22,25 @@ four-statement audits read rather than decide them again, and its support,
 the bitmask of the points some prior weighs above TOL_SIMPLEX.  An event is
 polar iff it misses the support, so polar events form an ideal, and every
 polarity verdict is a mask test; the system is ergodic iff its support lies
-in one grand-orbit class.  Only slln_audit reports capacities, through
-sys.upper_capacity: max(P @ 1_A) on the event's boolean mask, the product
-upper_exp forms on its indicator.  slln_audit's envelope is one product pv =
-P @ x, lower = min(pv) and upper = max(pv); negation commutes with round to
-nearest, so min(P @ x) equals -max(P @ -x), and both ends equal lower_exp
-and upper_exp up to the sign of a zero.  A payoff's cycle means are
-np.add.reduce(vals[members], axis=1) / L per length group, which is np.mean
-of each cycle bit for bit: numpy reduces each row of a C-ordered array by
-the same pairwise sum as a 1-d array.  The per-call paths stay in plain
-Python where numpy's fixed cost per call would exceed the work on a few
-entries: the cycle decomposition walks the image tuple, probability vectors
-are validated on their tuple, generators and hull vertices are pushed
-forward on their weight tuples (np.add.at's additions, in its order), events
-are member tuples or subset bitmasks, the envelope's ends are Python min and
-max of one product's entries, and the maximal check and the four-statement
-audit walk the image tuple.  np.unique is avoided because it imports
-numpy.ma on first use, and maxima and sums call np.maximum.reduce and
-np.add.reduce, the ufunc reduction that ndarray.max() and .sum() reach
+in one grand-orbit class, and its fixed space is simple under the same
+condition, because the class indicators span it.  Only slln_audit reports
+capacities, through sys.upper_capacity: max(P @ 1_A) on the event's boolean
+mask, the product upper_exp forms on its indicator.  slln_audit's envelope
+is one product pv = P @ x, lower = min(pv) and upper = max(pv); negation
+commutes with round to nearest, so min(P @ x) equals -max(P @ -x), and both
+ends equal lower_exp and upper_exp up to the sign of a zero.  A payoff's
+cycle means are np.add.reduce(vals[members], axis=1) / L per length group,
+which is np.mean of each cycle bit for bit: numpy reduces each row of a
+C-ordered array by the same pairwise sum as a 1-d array.  The per-call paths
+stay in plain Python where numpy's fixed cost per call would exceed the work
+on a few entries: the cycle decomposition walks the image tuple, probability
+vectors are validated on their tuple, generators and hull vertices are
+pushed forward on their weight tuples (np.add.at's additions, in its order),
+events are member tuples or subset bitmasks, the envelope's ends are Python
+min and max of one product's entries, and the maximal check and the
+four-statement audit walk the image tuple.  np.unique is avoided because it
+imports numpy.ma on first use, and maxima and sums call np.maximum.reduce
+and np.add.reduce, the ufunc reduction that ndarray.max() and .sum() reach
 through a Python wrapper.
 
 On a finite space every orbit is preperiodic, so Birkhoff averages are exact
@@ -75,10 +76,6 @@ HULL_TOL = 1e-10
 
 #: orbit-class guard of the 2^k enumeration in invariant_sets
 MAX_ENUM_BITS = 20
-
-#: count and seed of fixed_space_audit's random class-constant payoffs
-FIXED_SPACE_PAYOFFS = 5
-FIXED_SPACE_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -409,37 +406,18 @@ class FixedSpaceReport:
         return self.simple == self.ergodic
 
 
-def _constant_quasi_surely(sys: FiniteSystem, values: list[float]) -> bool:
-    """Whether the payoff equals some constant off a polar set, that is takes at most one value on the support."""
-    support = sys.support
-    return len({w for i, w in enumerate(values) if support >> i & 1}) <= 1
-
-
 def fixed_space_audit(sys: FiniteSystem) -> FixedSpaceReport:
     """Compare simplicity of the fixed space of f -> f o theta with ergodicity.
 
     The fixed space {f : f o theta = f} is spanned by the grand-orbit class
-    indicators.  Simplicity (every fixed f constant quasi-surely) is decided
-    on the 0/1 labelings of classes and double-checked on FIXED_SPACE_PAYOFFS
-    random class-constant payoffs drawn with FIXED_SPACE_SEED.  The 0/1
-    labelings are the indicators of the invariant sets B, and 1_B is constant
-    quasi-surely iff B or its complement is polar, so that stage reads the
-    system's ergodicity verdict.  The random payoffs run only on an ergodic
-    system; each is constant quasi-surely iff it takes one value on the
-    system's support, the points some prior weighs above TOL_SIMPLEX.
+    indicators, so its dimension is the number of classes.  A fixed f is
+    constant quasi-surely iff it takes one value on the system's support,
+    the points some prior weighs above TOL_SIMPLEX, so every fixed f is iff
+    the support meets at most one class: the system's ergodicity verdict,
+    read rather than decided again.
     """
     _require_preserving(sys)
-    dec = sys.theta.orbits
-    k = len(dec.cycles)
-    simple = sys.ergodic
-    if simple:
-        rng = np.random.default_rng(FIXED_SPACE_SEED)
-        for _ in range(FIXED_SPACE_PAYOFFS):
-            labels = rng.uniform(-1.0, 1.0, k).tolist()
-            if not _constant_quasi_surely(sys, [labels[c] for c in dec.class_of]):
-                simple = False
-                break
-    return FixedSpaceReport(dimension=k, simple=simple, ergodic=sys.ergodic)
+    return FixedSpaceReport(dimension=len(sys.theta.orbits.cycles), simple=sys.ergodic, ergodic=sys.ergodic)
 
 
 @dataclass(frozen=True)
