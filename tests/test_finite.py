@@ -160,6 +160,10 @@ class TestExpectationPreserving:
         with pytest.raises(ValueError):
             vertices[0, 0] = 0.0
 
+    def test_hull_vertices_cache_is_bounded(self):
+        maxsize = hull_vertices.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+
     def test_sweep_finds_vertices_with_no_lp(self, lp_calls):
         # the n = 3 and n = 4 vertex-set entries are standard bases: each
         # generator is separated from the others by one coordinate
