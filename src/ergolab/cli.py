@@ -412,6 +412,8 @@ def cmd_mc_slln(args) -> int:
     arc = _parse_floats(args.capacity_arc) if args.capacity_arc else None
     if arc is not None and len(arc) != 2:
         raise InputError(f"capacity arc must be two numbers a,b; got {args.capacity_arc!r}")
+    if arc is not None and not all(math.isfinite(x) for x in arc):
+        raise InputError(f"capacity arc ends must be finite; got {args.capacity_arc!r}")
     if arc is not None and not arc[0] < arc[1]:
         raise InputError(f"capacity arc [a, b) needs a < b; got {args.capacity_arc!r}")
     rep = scenario.slln_experiment(phi, policies, args.t, seeds, dt=args.dt, tol=args.tol)

@@ -38,10 +38,11 @@ vectors are validated on their tuple, generators and hull vertices are
 pushed forward on their weight tuples (np.add.at's additions, in its order),
 events are member tuples or subset bitmasks, the envelope's ends are Python
 min and max of one product's entries, and the maximal check and the
-four-statement audit walk the image tuple.  np.unique is avoided because it
-imports numpy.ma on first use, and maxima and sums call np.maximum.reduce
-and np.add.reduce, the ufunc reduction that ndarray.max() and .sum() reach
-through a Python wrapper.
+four-statement audit walk the image tuple.  The 1-d np.unique is avoided
+because it imports numpy.ma on first use; hull_vertices' np.unique(rows,
+axis=0) does not (checked on numpy 2.4.6), so it stays.  Maxima and sums
+call np.maximum.reduce and np.add.reduce, the ufunc reduction that
+ndarray.max() and .sum() reach through a Python wrapper.
 
 On a finite space every orbit is preperiodic, so Birkhoff averages are exact
 cycle means, monotone limits of sets are attained after finitely many steps,

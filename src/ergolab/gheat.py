@@ -159,7 +159,10 @@ def _advance(values: np.ndarray, h2: float, p: GHeatParams, runs) -> np.ndarray:
     remainder.  The arithmetic is kept as it is, operation for operation:
     multiplying by 1/h2 instead of dividing by h2, folding tau into a and b,
     or dropping the "+ 0.0" would each change the bits of some results, and
-    the byte tests on ordinary and signed-zero data catch every one.
+    the byte tests on ordinary and signed-zero data catch every one.  They
+    compare against one oracle written from the scheme's definition,
+    `fd_oracle` in tests/oracles.py: np.roll stencil, two-branch rate and
+    u + tau * rate on a stack of data, one datum per row.
 
     Returns a view of the buffer; the caller wraps it in a GridFn, which copies.
     """

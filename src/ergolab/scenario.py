@@ -322,7 +322,7 @@ def dp_upper_expectation(phi: GridFn, t: float, p: GHeatParams, n_steps: int) ->
         if err > 1e-12:
             raise InputError(
                 f"one-step kernel rows sum to 1 only within {err:.2e}; "
-                "increase the step count or refine the grid"
+                "decrease the step count or refine the grid"
             )
         spectra.append(np.fft.rfft(row))
     spectra = np.stack(spectra)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ergolab import gheat
+from ergolab import gheat, scenario
 from ergolab.cli import _build_parser, _parse_policies, main
 from ergolab.gheat import GHeatParams
 from ergolab.scenario import default_policy_suite
@@ -419,10 +419,15 @@ class TestMcSllnCli:
     def test_empty_seeds_exit_2(self):
         assert run(["mc-slln", "--seeds", ","]) == 2
 
-    @pytest.mark.parametrize("arc", ["0.5", "1,0.5,2", "2,1", "1,1"])
-    def test_bad_capacity_arc_exit_2(self, arc):
-        # rejected before the default 10^4-horizon experiment runs
-        assert run(["mc-slln", "--capacity-arc", arc]) == 2
+    @pytest.mark.parametrize("arc", ["0.5", "1,0.5,2", "2,1", "1,1", "0,inf", "-inf,1"])
+    def test_bad_capacity_arc_exit_2(self, arc, monkeypatch):
+        # rejected before the default 10^4-horizon experiment simulates a path;
+        # the "=" form hands argparse "-inf,1" as a value, not as an option
+        def no_path(*args, **kwargs):
+            raise AssertionError("a path was simulated")
+
+        monkeypatch.setattr(scenario, "simulate_path", no_path)
+        assert run(["mc-slln", f"--capacity-arc={arc}"]) == 2
 
     def test_capacity_block_and_path_dump(self, tmp_path):
         out = tmp_path / "mc.json"

@@ -179,16 +179,19 @@ class TestExpectationPreserving:
 def two_sided_lp_reference(sys, memo=None):
     """Hull equality by two-sided hull-inclusion LPs: the preservation oracle.
 
-    The verdict reads only the generator rows and their pushes, in order, so
-    a memo, if given, holds it under that pair.
+    A row that is itself a generator of the other side lies in that side's
+    hull at distance 0, so an LP is solved only for the rows of each side
+    that the other side lacks.  The verdict reads only the generator rows and
+    their pushes, in order, so a memo, if given, holds it under that pair.
     """
     orig = tuple(p.weights for p in sys.priors.priors)
     fwd = tuple(pushforward(sys.theta, p).weights for p in sys.priors.priors)
     if memo is not None and (orig, fwd) in memo:
         return memo[orig, fwd]
-    verdict = set(orig) == set(fwd) or (
-        all(hull_distance(np.asarray(orig), np.asarray(row)) <= HULL_TOL for row in set(fwd))
-        and all(hull_distance(np.asarray(fwd), np.asarray(row)) <= HULL_TOL for row in set(orig))
+    verdict = all(
+        hull_distance(np.asarray(hull), np.asarray(row)) <= HULL_TOL
+        for hull, rows in ((orig, set(fwd) - set(orig)), (fwd, set(orig) - set(fwd)))
+        for row in rows
     )
     if memo is not None:
         memo[orig, fwd] = verdict
@@ -1495,11 +1498,21 @@ class TestIndecomposabilityAudit:
         assert rep.statements == (True, True, True, True)
 
     def test_matches_direct_enumeration_on_sample(self):
-        count = 0
-        for sys_ in enumerate_preserving_systems(3):
-            assert indecomposability_audit(sys_) == four_statements_oracle(sys_)
-            count += 1
-        assert count > 30  # the sweep actually produced systems
+        # seeded preserving (map, catalog prior set) pairs with n = 5 and 6, past
+        # the n <= 4 sweep; the vertex singletons and pairs give polar classes
+        rng = np.random.default_rng(20231)
+        count, seen = 0, set()
+        for n in (5, 6):
+            catalog = prior_catalog(n)
+            while count < 100 * (n - 4):
+                theta = FiniteMap(tuple(rng.integers(0, n, n).tolist()))
+                sys_ = FiniteSystem(n, catalog[int(rng.integers(len(catalog)))], theta)
+                if sys_.preserving:
+                    assert indecomposability_audit(sys_) == four_statements_oracle(sys_), sys_
+                    seen.add((n, literal_ergodicity(sys_)))
+                    count += 1
+        assert count > 30  # the draws actually produced systems
+        assert seen == {(n, ergodic) for n in (5, 6) for ergodic in (False, True)}
 
     def test_every_statement_reads_the_support(self):
         # with an empty support every set is polar, so all four statements hold

@@ -1,3 +1,12 @@
+"""Tests of the explicit finite-difference (FD) solver in `ergolab.gheat`.
+
+The stepper's differential tests compare against the one FD oracle,
+`oracles.fd_oracle`: `TestArrayStepperDifferential` under array_equal,
+`TestStepperBytes` and `TestArrayOperandBytes` under tobytes(), signed
+zeros included.  The rest check closed forms, the maximum principle, the DP
+oracle of `ergolab.scenario` to 5e-3, and input validation.
+"""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +37,7 @@ from ergolab.gheat import (
     write_csv,
 )
 from ergolab.scenario import dp_upper_expectation
+from oracles import fd_oracle, fd_rate, fd_stencil, fd_step_sizes
 
 GRID = CircleGrid(256)
 PARAMS = GHeatParams(0.25, 1.0)
@@ -219,43 +229,6 @@ class TestSolve:
         assert errs[128] < errs[64]
 
 
-# The explicit chain as it stood before solve stepped a bare array: every step
-# ran step_explicit -> g_operator -> second_diff on GridFn objects.
-def chain_second_diff(u):
-    v = u.values
-    d = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / u.grid.h**2
-    return GridFn(u.grid, d)
-
-
-def chain_g_operator(u, p):
-    d = chain_second_diff(u).values
-    out = 0.5 * p.sigma_hi2 * np.maximum(d, 0.0) - 0.5 * p.sigma_lo2 * np.maximum(-d, 0.0)
-    return GridFn(u.grid, out)
-
-
-def chain_step_explicit(u, p, dt):
-    if dt < 0:
-        raise InputError("dt must be >= 0")
-    lam = dt * p.sigma_hi2 / u.grid.h**2
-    if lam > 1.0 + 1e-12:
-        raise ContractError(f"CFL violation: dt*sigma_hi2/h^2 = {lam:.6f} > 1")
-    return GridFn(u.grid, u.values + dt * chain_g_operator(u, p).values)
-
-
-def chain_solve(phi, t, p):
-    if t < 0:
-        raise InputError("t must be >= 0")
-    dt = p.dt(phi.grid)
-    n_full = int(np.floor(t / dt + 1e-9))
-    rem = t - n_full * dt
-    u = phi
-    for _ in range(n_full):
-        u = chain_step_explicit(u, p, dt)
-    if rem > 1e-12:
-        u = chain_step_explicit(u, p, rem)
-    return u
-
-
 def differential_data(g):
     return {
         "cos": cos_fn(g),
@@ -265,8 +238,20 @@ def differential_data(g):
     }
 
 
+def assert_solve_matches_fd_oracle(data, t, p, same=np.array_equal):
+    """solve(phi, t) and the FD oracle's row agree under `same` for each datum, all stepped as one (B, M) stack."""
+    g = next(iter(data.values())).grid
+    rows = fd_oracle(np.stack([phi.values for phi in data.values()]), g.h, p, fd_step_sizes(t, p.dt(g)))
+    for (name, phi), row in zip(data.items(), rows):
+        assert same(solve(phi, t, p).values, row), (name, t)
+
+
+def same_bytes(a, b):
+    return a.tobytes() == b.tobytes()
+
+
 class TestArrayStepperDifferential:
-    """The bare-array stepper reproduces the GridFn chain bit for bit."""
+    """solve, second_diff, g_operator and step_explicit equal the FD oracle `fd_oracle` under array_equal."""
 
     @pytest.mark.parametrize("m", [8, 64, 256])
     @pytest.mark.parametrize("band", [(0.25, 1.0), (0.7, 0.7)])
@@ -274,10 +259,8 @@ class TestArrayStepperDifferential:
     def test_solve_matches_gridfn_chain(self, m, band, cfl):
         g = CircleGrid(m)
         p = GHeatParams(*band, cfl=cfl)
-        for name, phi in differential_data(g).items():
-            for t in (0.0, 0.37 * p.dt(g), 0.5, 1.0):
-                got = solve(phi, t, p).values
-                assert np.array_equal(got, chain_solve(phi, t, p).values), (name, t)
+        for t in (0.0, 0.37 * p.dt(g), 0.5, 1.0):
+            assert_solve_matches_fd_oracle(differential_data(g), t, p)
 
     @pytest.mark.parametrize("m", [8, 64, 256])
     @pytest.mark.parametrize("band", [(0.25, 1.0), (0.7, 0.7)])
@@ -286,11 +269,11 @@ class TestArrayStepperDifferential:
         g = CircleGrid(m)
         p = GHeatParams(*band, cfl=cfl)
         for name, u in differential_data(g).items():
-            assert np.array_equal(second_diff(u).values, chain_second_diff(u).values), name
-            assert np.array_equal(g_operator(u, p).values, chain_g_operator(u, p).values), name
+            assert np.array_equal(second_diff(u).values, fd_stencil(u.values, g.h)), name
+            assert np.array_equal(g_operator(u, p).values, fd_rate(u.values, g.h, p)), name
             for dt in (p.dt(g), 0.37 * p.dt(g)):
                 got = step_explicit(u, p, dt).values
-                assert np.array_equal(got, chain_step_explicit(u, p, dt).values), (name, dt)
+                assert np.array_equal(got, fd_oracle(u.values, g.h, p, [dt])), (name, dt)
 
     def test_solve_builds_one_gridfn(self, monkeypatch):
         phi = cos_fn(GRID)
@@ -306,13 +289,14 @@ class TestArrayStepperDifferential:
         assert built == [GRID.m]
 
 
-def signed_zero_data(g):
-    """Data whose zero rates must keep the two-branch form's sign bits."""
+def byte_data(g):
+    """differential_data, plus data whose zero rates must keep the two-branch form's sign bits."""
     rng = np.random.default_rng(g.m)
     subnormal = np.zeros(g.m)
     subnormal[0] = -0.0
     subnormal[1] = -5e-324  # for small lo2, b * d underflows to -0.0 at node 0, which holds -0.0
     return {
+        **differential_data(g),
         "negative-zero": constant_fn(g, -0.0),
         "mixed-zeros": GridFn(g, np.where(rng.random(g.m) < 0.5, -0.0, 0.0)),
         "subnormal": GridFn(g, subnormal),
@@ -321,27 +305,23 @@ def signed_zero_data(g):
 
 
 class TestStepperBytes:
-    """The in-place ghost-cell stepper reproduces the GridFn chain byte for byte, sign bits included."""
+    """The in-place ghost-cell stepper equals the FD oracle `fd_oracle` byte for byte, sign bits included."""
 
     @pytest.mark.parametrize("m", [9, 65, 129])
     def test_solve_bytes_match_gridfn_chain(self, m):
         g = CircleGrid(m)
         p = GHeatParams(1e-6, 1.0)
-        data = {**differential_data(g), **signed_zero_data(g)}
-        for name, phi in data.items():
-            for t in (0.37 * p.dt(g), 3.0):
-                got = solve(phi, t, p).values.tobytes()
-                assert got == chain_solve(phi, t, p).values.tobytes(), (name, t)
+        for t in (0.37 * p.dt(g), 3.0):
+            assert_solve_matches_fd_oracle(byte_data(g), t, p, same_bytes)
 
     @pytest.mark.parametrize("m", [9, 64])
     @pytest.mark.parametrize("band", [(1e-6, 1.0), (0.25, 1.0), (0.7, 0.7)])
     def test_wrapper_bytes_match_gridfn_chain(self, m, band):
         g = CircleGrid(m)
         p = GHeatParams(*band)
-        for name, u in {**differential_data(g), **signed_zero_data(g)}.items():
-            assert g_operator(u, p).values.tobytes() == chain_g_operator(u, p).values.tobytes(), name
-            got = step_explicit(u, p, p.dt(g)).values.tobytes()
-            assert got == chain_step_explicit(u, p, p.dt(g)).values.tobytes(), name
+        for name, u in byte_data(g).items():
+            assert same_bytes(g_operator(u, p).values, fd_rate(u.values, g.h, p)), name
+            assert same_bytes(step_explicit(u, p, p.dt(g)).values, fd_oracle(u.values, g.h, p, [p.dt(g)])), name
 
     def test_solve_result_shares_no_memory(self, monkeypatch):
         phi = cos_fn(GRID)
@@ -361,41 +341,8 @@ class TestStepperBytes:
         assert not out.flags.writeable
 
 
-# The ghost-cell stepper as it stood before its operands became arrays: every
-# scalar operand was a Python float, and the steps came as an iterable of sizes.
-def ref_advance(values, h2, p, taus):
-    m = values.size
-    w = np.empty(m + 2)
-    w[1:-1] = values
-    v, left, right = w[1:-1], w[:-2], w[2:]
-    d = np.empty(m)
-    r = np.empty(m)
-    a = 0.5 * p.sigma_hi2
-    b = 0.5 * p.sigma_lo2
-    for tau in taus:
-        w[0] = w[m]
-        w[m + 1] = w[1]
-        np.multiply(v, 2.0, out=d)
-        np.subtract(right, d, out=d)
-        np.add(d, left, out=d)
-        np.divide(d, h2, out=d)
-        np.multiply(d, a, out=r)
-        np.multiply(d, b, out=d)
-        np.maximum(r, d, out=r)
-        np.add(r, 0.0, out=r)
-        np.multiply(r, tau, out=r)
-        np.add(v, r, out=v)
-    return v
-
-
-def ref_solve_steps(t, dt):
-    n_full = int(np.floor(t / dt + 1e-9))
-    rem = t - n_full * dt
-    return [dt] * n_full + ([rem] if rem > 1e-12 else [])
-
-
 class TestArrayOperandBytes:
-    """Array operands reproduce the Python-float-operand stepper byte for byte."""
+    """solve and step_explicit on array operands equal the FD oracle `fd_oracle` byte for byte at M = 256 and 512."""
 
     @pytest.mark.parametrize("m", [256, 512])
     @pytest.mark.parametrize("band", [(0.25, 1.0), (1e-6, 1.0)])
@@ -403,18 +350,15 @@ class TestArrayOperandBytes:
         g = CircleGrid(m)
         p = GHeatParams(*band)
         for t in (0.25, 1.0):
-            taus = ref_solve_steps(t, p.dt(g))
+            taus = fd_step_sizes(t, p.dt(g))
             assert taus[-1] != taus[0]  # the last step is a shortened remainder
-            for name, phi in {**differential_data(g), **signed_zero_data(g)}.items():
-                want = GridFn(g, ref_advance(phi.values, g.h**2, p, taus)).values.tobytes()
-                assert solve(phi, t, p).values.tobytes() == want, (name, t)
+            assert_solve_matches_fd_oracle(byte_data(g), t, p, same_bytes)
 
     def test_step_explicit_bytes_match_ref_advance(self):
         p = GHeatParams(1e-6, 1.0)
-        for name, u in {**differential_data(GRID), **signed_zero_data(GRID)}.items():
+        for name, u in byte_data(GRID).items():
             for dt in (p.dt(GRID), 0.37 * p.dt(GRID), 0.0):
-                want = ref_advance(u.values, GRID.h**2, p, [dt]).tobytes()
-                assert step_explicit(u, p, dt).values.tobytes() == want, (name, dt)
+                assert same_bytes(step_explicit(u, p, dt).values, fd_oracle(u.values, GRID.h, p, [dt])), (name, dt)
 
 
 def flow_defect(phi, s, t, p):

@@ -1,5 +1,13 @@
+"""Tests of `ergolab.scenario`: volatility policies, paths, the strong-law experiment and the DP oracle.
+
+The DP recursion is checked byte for byte against `oracles.dp_oracle`
+(`TestDpBatchedIrfftDifferential`, `TestDpBufferDifferential`), and to 1e-12
+against a dense matrix loop on `oracles.dense_kernel`
+(`TestDpOracleDifferential`).  Feedback paths are checked against
+`ref_feedback_path`, long-run averages against `stationary_feedback_average`.
+"""
+
 import math
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -20,7 +28,8 @@ from ergolab.scenario import (
     threshold_policy,
     time_average,
 )
-from ergolab.wrapped import WrappedKernelSpec, kernel_row, linear_semigroup, wrapped_gauss
+from ergolab.wrapped import WrappedKernelSpec, linear_semigroup
+from oracles import dense_kernel, dp_oracle
 
 GRID = CircleGrid(256)
 PARAMS = GHeatParams(0.25, 1.0)
@@ -316,20 +325,8 @@ class TestDpOracle:
             dp_upper_expectation(cos_fn(CircleGrid(m)), 1.0, PARAMS, 64)
 
 
-def two_irfft_recursion(phi, t, p, n_steps):
-    """The DP recursion as it stood before the batched inverse: one forward and two inverse rFFTs a step."""
-    m = phi.grid.m
-    spectrum_lo = np.fft.rfft(kernel_row(m, p.sigma_lo2, t / n_steps))
-    spectrum_hi = np.fft.rfft(kernel_row(m, p.sigma_hi2, t / n_steps))
-    u = phi.values
-    for _ in range(n_steps):
-        f = np.fft.rfft(u)
-        u = np.maximum(np.fft.irfft(f * spectrum_lo, n=m), np.fft.irfft(f * spectrum_hi, n=m))
-    return u
-
-
 class TestDpBatchedIrfftDifferential:
-    """One batched inverse rFFT per step reproduces the two-irfft recursion byte for byte."""
+    """One batched inverse rFFT per step equals the DP byte oracle `dp_oracle`, which takes two."""
 
     @pytest.mark.parametrize("m", [256, 512, 1024, 2048])
     @pytest.mark.parametrize("n", [16, 64, 128])
@@ -338,18 +335,7 @@ class TestDpBatchedIrfftDifferential:
         data = {"random": random_fn(grid, 5), "rotated-cos": GridFn(grid, np.cos(grid.nodes() - 0.7))}
         for name, phi in data.items():
             got = dp_upper_expectation(phi, 1.0, PARAMS, n).values
-            assert got.tobytes() == two_irfft_recursion(phi, 1.0, PARAMS, n).tobytes(), name
-
-
-def ref_dp(phi, t, p, n_steps):
-    """The batched recursion as it stood before its buffers: each step allocated its rFFT, product and candidates."""
-    m = phi.grid.m
-    spectra = np.stack([np.fft.rfft(kernel_row(m, s2, t / n_steps)) for s2 in (p.sigma_lo2, p.sigma_hi2)])
-    u = phi.values
-    for _ in range(n_steps):
-        lo, hi = np.fft.irfft(np.fft.rfft(u) * spectra, n=m)
-        u = np.maximum(lo, hi)
-    return u
+            assert got.tobytes() == dp_oracle(phi, 1.0, PARAMS, n).tobytes(), name
 
 
 def recording(fn, outs):
@@ -364,7 +350,7 @@ def recording(fn, outs):
 
 
 class TestDpBufferDifferential:
-    """The recursion on reused buffers reproduces the allocating recursion byte for byte."""
+    """The recursion on reused buffers equals the allocating DP byte oracle `dp_oracle` byte for byte."""
 
     @pytest.mark.parametrize("m", [256, 512, 1024, 2048])
     @pytest.mark.parametrize("n", [64, 128])
@@ -377,7 +363,7 @@ class TestDpBufferDifferential:
         }
         for name, phi in data.items():
             got = dp_upper_expectation(phi, 1.0, PARAMS, n).values
-            assert got.tobytes() == ref_dp(phi, 1.0, PARAMS, n).tobytes(), name
+            assert got.tobytes() == dp_oracle(phi, 1.0, PARAMS, n).tobytes(), name
 
     def test_buffers_are_reused_and_not_returned(self, monkeypatch):
         phi = random_fn(GRID, 5)
@@ -402,16 +388,8 @@ class TestDpBufferDifferential:
             assert not np.shares_memory(buf, phi.values)
 
 
-@lru_cache(maxsize=None)
-def dense_kernel(m: int, sigma2: float, t: float) -> np.ndarray:
-    """Independent reference: K[i, j] = h * p(t, x_i, x_j), pointwise from wrapped_gauss."""
-    grid = CircleGrid(m)
-    x = grid.nodes()
-    return grid.h * wrapped_gauss(WrappedKernelSpec(sigma2, t), x[:, None], x[None, :])
-
-
 class TestDpOracleDifferential:
-    """The FFT recursion against a dense matrix-vector DP loop."""
+    """The FFT recursion against a dense matrix-vector DP loop on `dense_kernel`, to 1e-12."""
 
     @pytest.mark.parametrize("m", [256, 1024])
     @pytest.mark.parametrize("n", [1, 64])
@@ -428,8 +406,11 @@ class TestDpOracleDifferential:
             assert np.max(np.abs(dp - u)) <= 1e-12, name
 
     def test_under_resolved_lattice_message(self):
-        with pytest.raises(InputError, match="rows sum to 1 only within"):
-            dp_upper_expectation(cos_fn(CircleGrid(64)), 1.0, PARAMS, 512)
+        # more steps narrow the one-step kernel below the grid, so the advice is fewer steps
+        grid = CircleGrid(64)
+        with pytest.raises(InputError, match="rows sum to 1 only within .*; decrease the step count or refine the grid"):
+            dp_upper_expectation(cos_fn(grid), 1.0, PARAMS, 512)
+        assert dp_upper_expectation(cos_fn(grid), 1.0, PARAMS, 16).values.shape == (64,)
 
 
 class TestCapacityEstimate:

@@ -1,5 +1,4 @@
 import math
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from ergolab.wrapped import (
     regularity_bound,
     wrapped_gauss,
 )
+from oracles import dense_kernel
 
 GRID512 = CircleGrid(512)
 
@@ -138,16 +138,8 @@ class TestLinearSemigroup:
         assert np.max(np.abs(mat.sum(axis=1) - 1.0)) <= 1e-12
 
 
-@lru_cache(maxsize=None)
-def dense_kernel(m: int, sigma2: float, t: float) -> np.ndarray:
-    """Independent reference: K[i, j] = h * p(t, x_i, x_j), pointwise from wrapped_gauss."""
-    grid = CircleGrid(m)
-    x = grid.nodes()
-    return grid.h * wrapped_gauss(WrappedKernelSpec(sigma2, t), x[:, None], x[None, :])
-
-
 class TestCirculantKernel:
-    """The FFT route against the dense pointwise operator it replaces."""
+    """The FFT route against the dense pointwise operator `dense_kernel`."""
 
     @pytest.mark.parametrize("m", [256, 1024])
     @pytest.mark.parametrize("n", [1, 64])
