@@ -1,8 +1,10 @@
 """Run every engine end to end through the CLI and collect the reports.
 
 Writes JSON/CSV reports into the given directory (default ./reports) and
-prints a one-line verdict per run.  Exit code 0 means every run matched its
-expected status; runs that are expected to breach a tolerance (the seam
+prints a one-line verdict per run.  Two runs go without --out; their stdout
+is captured into a file in the same directory, so a byte comparison of two
+trees' outputs covers both output paths.  Exit code 0 means every run matched
+its expected status; runs that are expected to breach a tolerance (the seam
 cross-check, the strict-band delay spread, the feedback-policy time averages)
 count as matching when they exit 1.
 
@@ -10,6 +12,7 @@ Usage: python scripts/run_full_audit.py [--outdir reports]
 """
 
 import argparse
+import contextlib
 import json
 import pathlib
 import sys
@@ -69,11 +72,20 @@ def main(argv=None):
           "--out", str(outdir / "mc_blind.json")]),
         ("mc-slln full suite (feedback flags expected)", 1,
          ["mc-slln", "--out", str(outdir / "mc_full.json")]),
+        # no --out: the last field names the file that receives stdout
+        ("gheat solve cos t=1 to stdout", 0,
+         ["gheat", "solve", "--phi", "cos", "--t", "1"], outdir / "solve_cos_t1_stdout.csv"),
+        ("lab-audit three-cycle to stdout", 0,
+         ["lab-audit", "--spec", str(spec_path)], outdir / "lab_audit_stdout.json"),
     ]
 
     failures = 0
-    for label, expected, argv_ in runs:
-        code = cli(argv_)
+    for label, expected, argv_, *stdout_path in runs:
+        if stdout_path:
+            with open(stdout_path[0], "w", newline="") as fh, contextlib.redirect_stdout(fh):
+                code = cli(argv_)
+        else:
+            code = cli(argv_)
         status = "ok" if code == expected else f"UNEXPECTED exit {code} (wanted {expected})"
         if code != expected:
             failures += 1

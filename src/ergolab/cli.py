@@ -1,8 +1,10 @@
 """Command-line interface: finite-system audits, circle heat runs, Monte Carlo laws.
 
 Exit-code contract: 0 = all checks passed, 1 = a mathematical tolerance or
-audit failed, 2 = malformed input or configuration.  Every JSON report echoes
-the configuration that produced it, including the fixed defaults.
+audit failed, 2 = malformed input or configuration.  Each command returns its
+JSON report (gheat solve its CSV); main writes it once, to --out or stdout, and
+reads the exit status from the report's "ok".  Every JSON report echoes the
+configuration that produced it, including the fixed defaults.
 """
 
 from __future__ import annotations
@@ -36,13 +38,17 @@ EXIT_TOLERANCE = 1
 EXIT_INPUT = 2
 
 
-def _write_report(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, default=str)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _parse_arc(text: str, what: str) -> tuple[float, float]:
+    """Read 'a,b' as the half-open arc [a, b) of the circle [0, 2*pi): 0 <= a < b <= 2*pi."""
+    try:
+        a, b = (float(s) for s in text.split(","))
+    except ValueError as exc:
+        raise InputError(f"{what} must be two numbers a,b; got {text!r}") from exc
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise InputError(f"{what} ends must be finite; got {text!r}")
+    if not 0.0 <= a < b <= 2 * math.pi:
+        raise InputError(f"{what} [a, b) needs 0 <= a < b <= 2*pi; got {text!r}")
+    return a, b
 
 
 def _parse_phi(spec: str, grid: gheat.CircleGrid) -> gheat.GridFn:
@@ -51,13 +57,7 @@ def _parse_phi(spec: str, grid: gheat.CircleGrid) -> gheat.GridFn:
     if spec == "quad":
         return gheat.quad_fn(grid)
     if spec.startswith("indicator:"):
-        try:
-            a, b = (float(s) for s in spec.split(":", 1)[1].split(","))
-        except ValueError as exc:
-            raise InputError(f"bad indicator spec {spec!r}") from exc
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise InputError(f"indicator arc ends must be finite; got {spec!r}")
-        return gheat.indicator_fn(grid, a, b)
+        return gheat.indicator_fn(grid, *_parse_arc(spec.split(":", 1)[1], "indicator arc"))
     if spec.startswith("random:"):
         try:
             seed = int(spec.split(":", 1)[1])
@@ -172,10 +172,10 @@ def _config_block(args, extra: dict | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_lab_audit(args) -> int:
+def cmd_lab_audit(args) -> dict:
     _require_counts(args, "payoffs", "trials", "seed")
     sys_, raw = _load_system(args.spec)
-    if not finite.is_expectation_preserving(sys_):
+    if not sys_.preserving:
         raise InputError("system map does not preserve the upper expectation")
     thm = finite.indecomposability_audit(sys_)
     fixed = finite.fixed_space_audit(sys_)
@@ -202,8 +202,8 @@ def cmd_lab_audit(args) -> int:
         max_min = value if max_min is None else min(max_min, value)
     maximal_ok = max_min is None or max_min >= -1e-12
     ok = thm.consistent and fixed.consistent and slln_ok and maximal_ok
-    report = {
-        "config": {"spec": args.spec, "seed": args.seed, "defaults": DEFAULTS},
+    return {
+        "config": _config_block(args, {"spec": args.spec, "seed": args.seed}),
         "system": raw,
         "ergodic": fixed.ergodic,
         "four_statements": list(thm.statements),
@@ -217,11 +217,9 @@ def cmd_lab_audit(args) -> int:
         "maximal_ergodic_ok": maximal_ok,
         "ok": ok,
     }
-    _write_report(report, args.out)
-    return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def cmd_lab_enumerate(args) -> int:
+def cmd_lab_enumerate(args) -> dict:
     _require_counts(args, "payoffs", "seed")
     if args.n > 4:
         raise InputError("exhaustive mode is limited to n <= 4")
@@ -250,14 +248,12 @@ def cmd_lab_enumerate(args) -> int:
                     "problems": bad,
                 }
             )
-    report = {
-        "config": {"n": args.n, "seed": args.seed, "payoffs": args.payoffs, "defaults": DEFAULTS},
+    return {
+        "config": _config_block(args, {"n": args.n, "seed": args.seed, "payoffs": args.payoffs}),
         "systems_checked": checked,
         "counterexamples": counterexamples,
         "ok": not counterexamples,
     }
-    _write_report(report, args.out)
-    return EXIT_OK if not counterexamples else EXIT_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +261,13 @@ def cmd_lab_enumerate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gheat_solve(args) -> int:
+def cmd_gheat_solve(args) -> str:
     grid = gheat.CircleGrid(args.grid)
     phi = _parse_phi(args.phi, grid)
-    u = gheat.solve(phi, args.t, _gheat_params(args))
-    if args.out:
-        gheat.write_csv(u, args.out)
-    else:
-        sys.stdout.write(gheat.to_csv_text(u))
-    return EXIT_OK
+    return gheat.to_csv_text(gheat.solve(phi, args.t, _gheat_params(args)))
 
 
-def cmd_gheat_invariant(args) -> int:
+def cmd_gheat_invariant(args) -> dict:
     _require_tol(args)
     grid = gheat.CircleGrid(args.grid)
     phi = _parse_phi(args.phi, grid)
@@ -287,18 +278,16 @@ def cmd_gheat_invariant(args) -> int:
     values = [gheat.invariant_expectation(phi, d, params) for d in deltas]
     spread = max(values) - min(values)
     ok = spread <= args.tol
-    report = {
+    return {
         "config": _config_block(args, {"deltas": deltas}),
         "values": dict(zip(map(str, deltas), values)),
         "spread": spread,
         "phi_mean": gheat.mean(phi),
         "ok": ok,
     }
-    _write_report(report, args.out)
-    return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def cmd_gheat_converge(args) -> int:
+def cmd_gheat_converge(args) -> dict:
     _require_tol(args)
     grid = gheat.CircleGrid(args.grid)
     phi = _parse_phi(args.phi, grid)
@@ -308,32 +297,28 @@ def cmd_gheat_converge(args) -> int:
     profile = gheat.convergence_profile(phi, times, _gheat_params(args))
     non_increasing = all(b <= a + 1e-6 for a, b in zip(profile, profile[1:]))
     ok = non_increasing and profile[-1] <= args.tol
-    report = {
+    return {
         "config": _config_block(args, {"times": times}),
         "profile": dict(zip(map(str, times), profile)),
         "non_increasing": non_increasing,
         "final": profile[-1],
         "ok": ok,
     }
-    _write_report(report, args.out)
-    return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def cmd_gheat_steady(args) -> int:
+def cmd_gheat_steady(args) -> dict:
     grid = gheat.CircleGrid(args.grid)
     phi = _parse_phi(args.phi, grid)
     rep = gheat.steady_state_audit(phi, _gheat_params(args), horizon=args.t)
-    report = {
+    return {
         "config": _config_block(args),
         "oscillation": rep.oscillation,
         "generator_norm": rep.generator_norm,
         "ok": rep.ok,
     }
-    _write_report(report, args.out)
-    return EXIT_OK if rep.ok else EXIT_TOLERANCE
 
 
-def cmd_gheat_xcheck(args) -> int:
+def cmd_gheat_xcheck(args) -> dict:
     _require_tol(args)
     grid = gheat.CircleGrid(args.grid)
     cases = ("linear", "nonlinear", "convex") if args.case == "all" else (args.case,)
@@ -366,7 +351,7 @@ def cmd_gheat_xcheck(args) -> int:
             tol = args.tol if args.tol is not None else 5e-3
             passed = err <= tol
             results[case] = {"sup_err_pde_vs_dp": err, "steps": args.steps, "tol": tol, "ok": passed}
-        elif case == "convex":
+        else:  # convex; argparse's choices admit no other case
             params = _gheat_params(args)
             phi = gheat.quad_fn(grid)
             t = 0.25
@@ -393,15 +378,11 @@ def cmd_gheat_xcheck(args) -> int:
                     "discrepancy is a property of the flow, not of either solver"
                 ),
             }
-        else:
-            raise InputError(f"unknown xcheck case {case!r}")
         ok &= results[case]["ok"]
-    report = {"config": _config_block(args, {"case": args.case}), "results": results, "ok": ok}
-    _write_report(report, args.out)
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    return {"config": _config_block(args, {"case": args.case}), "results": results, "ok": ok}
 
 
-def cmd_mc_slln(args) -> int:
+def cmd_mc_slln(args) -> dict:
     grid = gheat.CircleGrid(args.grid)
     phi = _parse_phi(args.phi, grid)
     params = gheat.GHeatParams(args.sigma_lo2, args.sigma_hi2)
@@ -409,13 +390,7 @@ def cmd_mc_slln(args) -> int:
     seeds = _parse_seeds(args.seeds)
     if not seeds:
         raise InputError("seeds must be a nonempty list")
-    arc = _parse_floats(args.capacity_arc) if args.capacity_arc else None
-    if arc is not None and len(arc) != 2:
-        raise InputError(f"capacity arc must be two numbers a,b; got {args.capacity_arc!r}")
-    if arc is not None and not all(math.isfinite(x) for x in arc):
-        raise InputError(f"capacity arc ends must be finite; got {args.capacity_arc!r}")
-    if arc is not None and not arc[0] < arc[1]:
-        raise InputError(f"capacity arc [a, b) needs a < b; got {args.capacity_arc!r}")
+    arc = _parse_arc(args.capacity_arc, "capacity arc") if args.capacity_arc else None
     rep = scenario.slln_experiment(phi, policies, args.t, seeds, dt=args.dt, tol=args.tol)
     capacity_block = None
     if arc is not None:
@@ -441,7 +416,7 @@ def cmd_mc_slln(args) -> int:
                     fh.write("t,x\n")
                     for i, x in enumerate(path.positions):
                         fh.write(f"{i * args.dt:.17g},{x:.17g}\n")
-    report = {
+    return {
         "config": _config_block(args, {"seeds": seeds, "policies": [p.label for p in policies], "dt": args.dt}),
         "target": rep.target,
         "max_deviation": rep.max_deviation,
@@ -450,8 +425,6 @@ def cmd_mc_slln(args) -> int:
         "capacity_estimate": capacity_block,
         "ok": rep.ok,
     }
-    _write_report(report, args.out)
-    return EXIT_OK if rep.ok else EXIT_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
@@ -539,16 +512,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command, write its output once, to --out or stdout, and return the exit status."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        output = args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ContractError as exc:
         print(f"contract error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if isinstance(output, str):  # gheat solve's CSV carries no verdict
+        text, status = output, EXIT_OK
+    else:
+        text = json.dumps(output, indent=2, sort_keys=True, default=str) + "\n"
+        status = EXIT_OK if output["ok"] else EXIT_TOLERANCE
+    if args.out:
+        # newline="": the CSV's \r\n row ends are csv's own and are written as they are
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return status
 
 
 if __name__ == "__main__":

@@ -666,13 +666,13 @@ def all_maps(n: int):
 
 
 def enumerate_preserving_systems(n: int, catalog: list[PriorSet] | None = None):
-    """Yield every expectation-preserving (map, prior-set) combination."""
+    """Yield every expectation-preserving (map, prior-set) combination, each with its verdict recorded."""
     if catalog is None:
         catalog = prior_catalog(n)
     for theta in all_maps(n):
         for priors in catalog:
             sys = FiniteSystem(n, priors, theta)
-            if is_expectation_preserving(sys):
+            if sys.preserving:
                 yield sys
 
 

@@ -307,20 +307,16 @@ def steady_state_audit(phi0: GridFn, p: GHeatParams, horizon: float = 100.0) -> 
 
 def write_csv(u: GridFn, path: str) -> None:
     with open(path, "w", newline="") as fh:
-        _write_csv_stream(u, fh)
+        fh.write(to_csv_text(u))
 
 
 def to_csv_text(u: GridFn) -> str:
     buf = io.StringIO()
-    _write_csv_stream(u, buf)
-    return buf.getvalue()
-
-
-def _write_csv_stream(u: GridFn, fh) -> None:
-    writer = csv.writer(fh)
+    writer = csv.writer(buf)
     writer.writerow(["x", "u"])
     for x, val in zip(u.grid.nodes(), u.values):
         writer.writerow([f"{x:.17g}", f"{val:.17g}"])
+    return buf.getvalue()
 
 
 def read_csv(path: str) -> GridFn:

@@ -404,13 +404,12 @@ def strong_regularity_audit(
     vals = [r.sup_value for r in rows]
     non_inc = all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
     within = all(r.sup_value <= min(1.0, r.closed_form_bound) + 1e-9 for r in rows)
-    final_ok = rows[-1].sup_value <= rows[-1].proxy_bound if rows else True
     return RegularityAuditReport(
         t=t,
         rows=tuple(rows),
         non_increasing=non_inc,
         within_bounds=within,
-        final_below_proxy=final_ok,
+        final_below_proxy=rows[-1].sup_value <= rows[-1].proxy_bound,
     )
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ergolab import gheat, scenario
+from ergolab import finite, gheat, scenario
 from ergolab.cli import _build_parser, _parse_policies, main
 from ergolab.gheat import GHeatParams
 from ergolab.scenario import default_policy_suite
@@ -138,6 +138,19 @@ class TestLabAudit:
         assert report["config"]["defaults"]["grid"] == 256
         assert report["config"]["defaults"]["seeds"] == [11, 23, 37, 41, 53, 67, 79, 97]
 
+    def test_one_preservation_decision_per_spec(self, tmp_path, monkeypatch):
+        # the audits read the verdict the preservation check recorded on the system
+        calls = []
+        decide = finite.is_expectation_preserving
+
+        def counting(sys_):
+            calls.append(sys_)
+            return decide(sys_)
+
+        monkeypatch.setattr(finite, "is_expectation_preserving", counting)
+        assert run(["lab-audit", "--spec", write_spec(tmp_path, THREE_CYCLE), "--trials", "5"]) == 0
+        assert len(calls) == 1
+
 
 class TestLabEnumerate:
     def test_n2_sweep_clean(self, tmp_path):
@@ -268,6 +281,37 @@ class TestGheatCli:
         assert exc.value.code == 2
 
 
+class TestExitStatus:
+    """The exit status is 0 exactly when the report on stdout says ok."""
+
+    @pytest.mark.parametrize(
+        "argv, ok",
+        [
+            (["gheat", "invariant", "--grid", "64", "--deltas", "0.1,1", "--sigma-lo2", "0.5", "--sigma-hi2", "0.5"],
+             True),
+            (["gheat", "invariant", "--grid", "64", "--deltas", "0.1,1"], False),
+            (["gheat", "converge", "--grid", "64", "--times", "1,30", "--sigma-lo2", "1", "--sigma-hi2", "1"], True),
+            (["gheat", "converge", "--grid", "64", "--times", "1,5"], False),
+            (["gheat", "steady", "--grid", "64", "--phi", "random:7", "--t", "100"], True),
+            (["gheat", "steady", "--grid", "64", "--phi", "random:7", "--t", "1"], False),
+            (["gheat", "xcheck", "--grid", "64", "--case", "linear"], True),
+            (["gheat", "xcheck", "--grid", "128", "--case", "convex", "--steps", "16"], False),
+            (["mc-slln", "--t", "10", "--seeds", "11", "--policies", "constant:1.0", "--tol", "1"], True),
+            (["mc-slln", "--t", "10", "--seeds", "11", "--policies", "constant:1.0", "--tol", "0"], False),
+            (["lab-audit", "--spec", "SPEC", "--trials", "5"], True),
+            (["lab-enumerate", "--n", "2"], True),
+        ],
+        ids=["invariant-pass", "invariant-fail", "converge-pass", "converge-fail", "steady-pass", "steady-fail",
+             "xcheck-pass", "xcheck-fail", "mc-slln-pass", "mc-slln-fail", "lab-audit-pass", "lab-enumerate-pass"],
+    )
+    def test_exit_status_reads_ok(self, tmp_path, capsys, argv, ok):
+        spec = write_spec(tmp_path, THREE_CYCLE)
+        code = run([spec if a == "SPEC" else a for a in argv])
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is ok
+        assert code == (0 if ok else 1)
+
+
 class TestInputErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -368,6 +412,20 @@ class TestInputErrors:
         assert run(["mc-slln", "--policies", policies]) == 2
         assert capsys.readouterr().err.startswith(f"input error: bad policy {policies!r}")
 
+    @pytest.mark.parametrize("spec", ["indicator:5,7", "indicator:-1,1", "indicator:2,1"])
+    @pytest.mark.parametrize(
+        "argv", [["gheat", "solve", "--t", "1"], ["mc-slln", "--seeds", "1"]], ids=["solve", "mc-slln"]
+    )
+    def test_bad_indicator_arc_exit_2(self, monkeypatch, capsys, argv, spec):
+        # an arc must lie in [0, 2*pi) with a < b; rejected before any solve or path
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran before rejecting the arc")
+
+        monkeypatch.setattr(gheat, "solve", no_run)
+        monkeypatch.setattr(scenario, "simulate_path", no_run)
+        assert run([*argv, "--phi", spec]) == 2
+        assert capsys.readouterr().err.startswith("input error: indicator arc")
+
     def test_policy_fields_take_factory_defaults(self):
         params = GHeatParams(0.25, 1.0)
         parsed = _parse_policies("constant,random-switching,threshold-feedback,greedy-bang-bang", params)
@@ -419,7 +477,7 @@ class TestMcSllnCli:
     def test_empty_seeds_exit_2(self):
         assert run(["mc-slln", "--seeds", ","]) == 2
 
-    @pytest.mark.parametrize("arc", ["0.5", "1,0.5,2", "2,1", "1,1", "0,inf", "-inf,1"])
+    @pytest.mark.parametrize("arc", ["0.5", "1,0.5,2", "2,1", "1,1", "0,inf", "-inf,1", "-1,1", "5,7"])
     def test_bad_capacity_arc_exit_2(self, arc, monkeypatch):
         # rejected before the default 10^4-horizon experiment simulates a path;
         # the "=" form hands argparse "-inf,1" as a value, not as an option

@@ -1193,6 +1193,22 @@ class TestRecordsOnObjects:
             slln_audit(sys_, x)
         assert hashed == []
 
+    def test_preservation_decided_once_per_pair(self, monkeypatch):
+        # the sweep records each verdict on its system, and the audits read it
+        calls = []
+        decide = finite.is_expectation_preserving
+
+        def counting(sys_):
+            calls.append(sys_)
+            return decide(sys_)
+
+        monkeypatch.setattr(finite, "is_expectation_preserving", counting)
+        for n in (1, 2, 3):
+            for sys_ in enumerate_preserving_systems(n):
+                indecomposability_audit(sys_)
+                fixed_space_audit(sys_)
+        assert len(calls) == sum(n**n * len(prior_catalog(n)) for n in (1, 2, 3)) == 272
+
     def test_records_die_with_their_objects(self):
         sys_ = FiniteSystem(3, UNIFORM3, FiniteMap((1, 2, 0)))
         assert sys_.preserving
