@@ -5,8 +5,9 @@ prints a one-line verdict per run.  Two runs go without --out; their stdout
 is captured into a file in the same directory, so a byte comparison of two
 trees' outputs covers both output paths.  Exit code 0 means every run matched
 its expected status; runs that are expected to breach a tolerance (the seam
-cross-check, the strict-band delay spread, the feedback-policy time averages)
-count as matching when they exit 1.
+cross-check, the strict-band delay spread and offset limit, the
+feedback-policy time averages) count as matching when they exit 1.  One
+mc-slln run dumps its paths into the paths/ subdirectory.
 
 Usage: python scripts/run_full_audit.py [--outdir reports]
 """
@@ -65,6 +66,10 @@ def main(argv=None):
          ["gheat", "xcheck", "--case", "convex", "--out", str(outdir / "xcheck_convex.json")]),
         ("gheat invariant strict band (drift expected)", 1,
          ["gheat", "invariant", "--phi", "cos", "--out", str(outdir / "invariant_cos.json")]),
+        ("gheat converge strict band (offset expected)", 1,
+         ["gheat", "converge", "--phi", "cos", "--out", str(outdir / "converge_cos.json")]),
+        ("gheat solve indicator [1, 2) t=1", 0,
+         ["gheat", "solve", "--phi", "indicator:1,2", "--t", "1", "--out", str(outdir / "solve_indicator_t1.csv")]),
         ("gheat steady", 0,
          ["gheat", "steady", "--phi", "random:42", "--out", str(outdir / "steady.json")]),
         ("mc-slln state-blind policies", 0,
@@ -72,6 +77,9 @@ def main(argv=None):
           "--out", str(outdir / "mc_blind.json")]),
         ("mc-slln full suite (feedback flags expected)", 1,
          ["mc-slln", "--out", str(outdir / "mc_full.json")]),
+        ("mc-slln random switching with path dump", 0,
+         ["mc-slln", "--t", "10", "--seeds", "11", "--policies", "random-switching:1:3", "--tol", "1",
+          "--dump-paths", str(outdir / "paths"), "--out", str(outdir / "mc_dump.json")]),
         # no --out: the last field names the file that receives stdout
         ("gheat solve cos t=1 to stdout", 0,
          ["gheat", "solve", "--phi", "cos", "--t", "1"], outdir / "solve_cos_t1_stdout.csv"),

@@ -1,10 +1,12 @@
 """Command-line interface: finite-system audits, circle heat runs, Monte Carlo laws.
 
 Exit-code contract: 0 = all checks passed, 1 = a mathematical tolerance or
-audit failed, 2 = malformed input or configuration.  Each command returns its
-JSON report (gheat solve its CSV); main writes it once, to --out or stdout, and
-reads the exit status from the report's "ok".  Every JSON report echoes the
-configuration that produced it, including the fixed defaults.
+audit failed, 2 = malformed input or configuration, or a file that cannot be
+read or written.  main checks the options, each command returns its JSON
+report (gheat solve its CSV), and main writes it once, to --out or stdout, and
+reads the exit status from the report's "ok".  Every comma list is read by
+_parse_list.  Every JSON report echoes the configuration that produced it:
+each option but --out, each list as parsed, and the fixed defaults.
 """
 
 from __future__ import annotations
@@ -38,12 +40,28 @@ EXIT_TOLERANCE = 1
 EXIT_INPUT = 2
 
 
+def _parse_list(text: str, what: str, convert) -> list:
+    """Split a comma list, strip each field and convert it; an empty field, or an empty list, is an InputError."""
+    out = []
+    for field in text.split(","):
+        field = field.strip()
+        if not field:
+            raise InputError(f"{what} has an empty field; got {text!r}")
+        try:
+            out.append(convert(field))
+        except InputError:  # convert's own message, already about this field
+            raise
+        except ValueError as exc:
+            raise InputError(f"{what} has a bad field {field!r}: {exc}") from exc
+    return out
+
+
 def _parse_arc(text: str, what: str) -> tuple[float, float]:
     """Read 'a,b' as the half-open arc [a, b) of the circle [0, 2*pi): 0 <= a < b <= 2*pi."""
-    try:
-        a, b = (float(s) for s in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"{what} must be two numbers a,b; got {text!r}") from exc
+    ends = _parse_list(text, what, float)
+    if len(ends) != 2:
+        raise InputError(f"{what} must be two numbers a,b; got {text!r}")
+    a, b = ends
     if not (math.isfinite(a) and math.isfinite(b)):
         raise InputError(f"{what} ends must be finite; got {text!r}")
     if not 0.0 <= a < b <= 2 * math.pi:
@@ -67,20 +85,10 @@ def _parse_phi(spec: str, grid: gheat.CircleGrid) -> gheat.GridFn:
     raise InputError(f"unknown initial data {spec!r}; use cos, quad, indicator:a,b, random:seed")
 
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(s) for s in text.split(",") if s.strip()]
-    except ValueError as exc:
-        raise InputError(f"bad float list {text!r}") from exc
-
-
 def _parse_seeds(text: str | None) -> list[int]:
     if text is None:
         return list(DEFAULT_SEEDS)
-    try:
-        seeds = [int(s) for s in text.split(",") if s.strip()]
-    except ValueError as exc:
-        raise InputError(f"bad seed list {text!r}") from exc
+    seeds = _parse_list(text, "seeds", int)
     if any(s < 0 for s in seeds):
         raise InputError(f"seeds must be >= 0; got {text!r}")
     return seeds
@@ -99,25 +107,17 @@ _POLICY_FIELDS = {
 def _parse_policies(text: str | None, params: gheat.GHeatParams) -> list[scenario.VolPolicy]:
     if text is None:
         return scenario.default_policy_suite(params)
-    out = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+
+    def policy(chunk: str) -> scenario.VolPolicy:
         kind, *values = chunk.split(":")
         if kind not in _POLICY_FIELDS:
             raise InputError(f"unknown policy {chunk!r}")
         factory, fields = _POLICY_FIELDS[kind]
         if len(values) > len(fields):
             raise InputError(f"bad policy {chunk!r}: {kind} takes at most {len(fields)} fields")
-        try:
-            kwargs = {name: parse(v) for (name, parse), v in zip(fields, values)}
-        except ValueError as exc:
-            raise InputError(f"bad policy {chunk!r}: {exc}") from exc
-        out.append(factory(params, **kwargs))
-    if not out:
-        raise InputError("empty policy list")
-    return out
+        return factory(params, **{name: parse(v) for (name, parse), v in zip(fields, values)})
+
+    return _parse_list(text, "policies", policy)
 
 
 def _load_system(path: str) -> tuple[finite.FiniteSystem, dict]:
@@ -140,30 +140,29 @@ def _load_system(path: str) -> tuple[finite.FiniteSystem, dict]:
         raise InputError(f"malformed system spec: {exc}") from exc
 
 
-def _require_counts(args, *names: str) -> None:
-    for name in names:
-        value = getattr(args, name)
-        if value < 0:
+def _check_options(args) -> None:
+    """Before any command: counts and seeds are >= 0; no error is <= a NaN or negative --tol, and all are <= inf."""
+    for name in ("payoffs", "trials", "seed"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
             raise InputError(f"--{name} must be >= 0; got {value}")
-
-
-def _require_tol(args) -> None:
-    """No error is <= a NaN or negative --tol and every one is <= inf: reject all three before any solve."""
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
-        raise InputError(f"--tol must be finite and >= 0; got {args.tol}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise InputError(f"--tol must be finite and >= 0; got {tol}")
 
 
 def _gheat_params(args) -> gheat.GHeatParams:
     return gheat.GHeatParams(args.sigma_lo2, args.sigma_hi2, args.cfl)
 
 
-def _config_block(args, extra: dict | None = None) -> dict:
-    cfg = {"defaults": DEFAULTS}
-    for key in ("grid", "cfl", "sigma_lo2", "sigma_hi2", "phi", "t", "tol"):
-        if hasattr(args, key):
-            cfg[key] = getattr(args, key)
-    if extra:
-        cfg.update(extra)
+#: parsed-namespace entries that are not part of a report's configuration
+_NOT_ECHOED = ("out", "func", "command", "subcommand")
+
+
+def _config_block(args, **parsed) -> dict:
+    """Every option of the subcommand, each list option as parsed, and the fixed defaults."""
+    cfg = {key: value for key, value in vars(args).items() if key not in _NOT_ECHOED}
+    cfg.update(parsed, defaults=DEFAULTS)
     return cfg
 
 
@@ -173,7 +172,6 @@ def _config_block(args, extra: dict | None = None) -> dict:
 
 
 def cmd_lab_audit(args) -> dict:
-    _require_counts(args, "payoffs", "trials", "seed")
     sys_, raw = _load_system(args.spec)
     if not sys_.preserving:
         raise InputError("system map does not preserve the upper expectation")
@@ -203,7 +201,7 @@ def cmd_lab_audit(args) -> dict:
     maximal_ok = max_min is None or max_min >= -1e-12
     ok = thm.consistent and fixed.consistent and slln_ok and maximal_ok
     return {
-        "config": _config_block(args, {"spec": args.spec, "seed": args.seed}),
+        "config": _config_block(args),
         "system": raw,
         "ergodic": fixed.ergodic,
         "four_statements": list(thm.statements),
@@ -220,7 +218,6 @@ def cmd_lab_audit(args) -> dict:
 
 
 def cmd_lab_enumerate(args) -> dict:
-    _require_counts(args, "payoffs", "seed")
     if args.n > 4:
         raise InputError("exhaustive mode is limited to n <= 4")
     rng = np.random.default_rng(args.seed)
@@ -249,7 +246,7 @@ def cmd_lab_enumerate(args) -> dict:
                 }
             )
     return {
-        "config": _config_block(args, {"n": args.n, "seed": args.seed, "payoffs": args.payoffs}),
+        "config": _config_block(args),
         "systems_checked": checked,
         "counterexamples": counterexamples,
         "ok": not counterexamples,
@@ -268,18 +265,17 @@ def cmd_gheat_solve(args) -> str:
 
 
 def cmd_gheat_invariant(args) -> dict:
-    _require_tol(args)
     grid = gheat.CircleGrid(args.grid)
     phi = _parse_phi(args.phi, grid)
     params = _gheat_params(args)
-    deltas = _parse_floats(args.deltas)
-    if not deltas or any(d <= 0 for d in deltas):
+    deltas = _parse_list(args.deltas, "deltas", float)
+    if any(d <= 0 for d in deltas):
         raise InputError("deltas must be positive")
     values = [gheat.invariant_expectation(phi, d, params) for d in deltas]
     spread = max(values) - min(values)
     ok = spread <= args.tol
     return {
-        "config": _config_block(args, {"deltas": deltas}),
+        "config": _config_block(args, deltas=deltas),
         "values": dict(zip(map(str, deltas), values)),
         "spread": spread,
         "phi_mean": gheat.mean(phi),
@@ -288,17 +284,14 @@ def cmd_gheat_invariant(args) -> dict:
 
 
 def cmd_gheat_converge(args) -> dict:
-    _require_tol(args)
     grid = gheat.CircleGrid(args.grid)
     phi = _parse_phi(args.phi, grid)
-    times = _parse_floats(args.times)
-    if not times:
-        raise InputError("times must be a nonempty list")
+    times = _parse_list(args.times, "times", float)
     profile = gheat.convergence_profile(phi, times, _gheat_params(args))
     non_increasing = all(b <= a + 1e-6 for a, b in zip(profile, profile[1:]))
     ok = non_increasing and profile[-1] <= args.tol
     return {
-        "config": _config_block(args, {"times": times}),
+        "config": _config_block(args, times=times),
         "profile": dict(zip(map(str, times), profile)),
         "non_increasing": non_increasing,
         "final": profile[-1],
@@ -319,7 +312,6 @@ def cmd_gheat_steady(args) -> dict:
 
 
 def cmd_gheat_xcheck(args) -> dict:
-    _require_tol(args)
     grid = gheat.CircleGrid(args.grid)
     cases = ("linear", "nonlinear", "convex") if args.case == "all" else (args.case,)
     results = {}
@@ -379,7 +371,7 @@ def cmd_gheat_xcheck(args) -> dict:
                 ),
             }
         ok &= results[case]["ok"]
-    return {"config": _config_block(args, {"case": args.case}), "results": results, "ok": ok}
+    return {"config": _config_block(args), "results": results, "ok": ok}
 
 
 def cmd_mc_slln(args) -> dict:
@@ -388,8 +380,6 @@ def cmd_mc_slln(args) -> dict:
     params = gheat.GHeatParams(args.sigma_lo2, args.sigma_hi2)
     policies = _parse_policies(args.policies, params)
     seeds = _parse_seeds(args.seeds)
-    if not seeds:
-        raise InputError("seeds must be a nonempty list")
     arc = _parse_arc(args.capacity_arc, "capacity arc") if args.capacity_arc else None
     rep = scenario.slln_experiment(phi, policies, args.t, seeds, dt=args.dt, tol=args.tol)
     capacity_block = None
@@ -417,7 +407,7 @@ def cmd_mc_slln(args) -> dict:
                     for i, x in enumerate(path.positions):
                         fh.write(f"{i * args.dt:.17g},{x:.17g}\n")
     return {
-        "config": _config_block(args, {"seeds": seeds, "policies": [p.label for p in policies], "dt": args.dt}),
+        "config": _config_block(args, seeds=seeds, policies=[p.label for p in policies], capacity_arc=arc),
         "target": rep.target,
         "max_deviation": rep.max_deviation,
         "entries": [dataclasses.asdict(e) for e in rep.entries],
@@ -512,27 +502,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command, write its output once, to --out or stdout, and return the exit status."""
+    """Check the options, run one command, write its output once, to --out or stdout, and return the exit status.
+
+    An OSError from the command (--dump-paths) or from writing --out is an input error.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_options(args)
         output = args.func(args)
-    except InputError as exc:
+        if isinstance(output, str):  # gheat solve's CSV carries no verdict
+            text, status = output, EXIT_OK
+        else:
+            text = json.dumps(output, indent=2, sort_keys=True, default=str) + "\n"
+            status = EXIT_OK if output["ok"] else EXIT_TOLERANCE
+        if args.out:
+            # newline="": the CSV's \r\n row ends are csv's own and are written as they are
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ContractError as exc:
         print(f"contract error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if isinstance(output, str):  # gheat solve's CSV carries no verdict
-        text, status = output, EXIT_OK
-    else:
-        text = json.dumps(output, indent=2, sort_keys=True, default=str) + "\n"
-        status = EXIT_OK if output["ok"] else EXIT_TOLERANCE
-    if args.out:
-        # newline="": the CSV's \r\n row ends are csv's own and are written as they are
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return status
 

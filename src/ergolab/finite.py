@@ -103,9 +103,6 @@ class FiniteMap:
     def n(self) -> int:
         return len(self.image)
 
-    def __call__(self, i: int) -> int:
-        return self.image[i]
-
     @cached_property
     def orbits(self) -> OrbitDecomposition:
         """The map's orbit record, built on first use and held for the map's lifetime."""
@@ -387,11 +384,6 @@ def invariant_sets(sys: FiniteSystem) -> list[EventSet]:
         raise InputError(f"enumeration budget exceeded: {k} orbit classes")
     class_of = dec.class_of
     return [EventSet(sys.n, frozenset(i for i, c in enumerate(class_of) if bits >> c & 1)) for bits in range(1 << k)]
-
-
-def is_ergodic(sys: FiniteSystem) -> bool:
-    """Every invariant set is polar or co-polar; decided once per system."""
-    return sys.ergodic
 
 
 @dataclass(frozen=True)

@@ -320,12 +320,22 @@ def to_csv_text(u: GridFn) -> str:
 
 
 def read_csv(path: str) -> GridFn:
+    """Read to_csv_text's format: header 'x,u', then one row x,u per node, x the node itself.
+
+    x must equal CircleGrid(m).nodes() for the m rows; 17 significant digits round-trip exactly.
+    """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != ["x", "u"]:
         raise InputError("expected CSV with header 'x,u'")
+    if any(len(r) != 2 for r in rows[1:]):
+        raise InputError("every CSV row must have exactly two fields x,u")
     try:
-        vals = [float(r[1]) for r in rows[1:]]
-    except (IndexError, ValueError) as exc:
-        raise InputError(f"bad value in CSV column 'u': {exc}") from None
-    return GridFn(CircleGrid(len(vals)), vals)
+        xs = [float(x) for x, _ in rows[1:]]
+        vals = [float(u) for _, u in rows[1:]]
+    except ValueError as exc:
+        raise InputError(f"bad number in CSV: {exc}") from None
+    grid = CircleGrid(len(vals))
+    if not np.array_equal(xs, grid.nodes()):
+        raise InputError(f"CSV column 'x' must be the {grid.m} grid nodes 2*pi*k/{grid.m}")
+    return GridFn(grid, vals)

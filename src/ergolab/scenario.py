@@ -4,7 +4,9 @@ The nonlinear semigroup is a supremum over adapted volatility controls valued
 in [sigma_lo, sigma_hi].  This module provides the two sides of that picture:
 
 * a small library of admissible control policies plus an Euler path
-  simulator with deterministic per-(policy, seed) random streams, and
+  simulator with deterministic per-(policy, seed) random streams; a path's
+  start does not depend on its horizon, so a shorter path is a prefix of a
+  longer one with the same policy, start and seed, and
 
 * a dynamic-programming oracle that discretizes time, restricts controls to
   the endpoint volatilities per step (the per-step objective is linear in the
@@ -145,8 +147,13 @@ def _periodic_interp(x: np.ndarray, phi: GridFn) -> np.ndarray:
 
 
 def _switching_sigma_per_step(policy: VolPolicy, n_steps: int, dt: float) -> np.ndarray:
-    """Exogenous endpoint-valued volatility path from the policy's own stream."""
+    """Exogenous endpoint-valued volatility path from the policy's own stream.
+
+    The start level is drawn first and the switch gaps after it, so a shorter
+    horizon's schedule is a prefix of a longer one's.
+    """
     rng = np.random.default_rng(policy.switch_seed)
+    start_high = bool(rng.integers(0, 2))
     horizon = n_steps * dt
     gaps = []
     total = 0.0
@@ -155,7 +162,6 @@ def _switching_sigma_per_step(policy: VolPolicy, n_steps: int, dt: float) -> np.
         gaps.append(g)
         total += g
     switch_times = np.cumsum(gaps)
-    start_high = bool(rng.integers(0, 2))
     times = dt * np.arange(n_steps)
     parity = np.searchsorted(switch_times, times, side="right") % 2
     high = parity == (0 if start_high else 1)

@@ -48,7 +48,6 @@ from ergolab.credal import PriorSet, ProbVector, Rv, upper_exp
 from ergolab.finite import (
     enumerate_preserving_systems,
     fixed_space_audit,
-    is_ergodic,
     maximal_ergodic_check,
     orbit_decomposition,
     random_preserving_system,
@@ -136,7 +135,7 @@ def test_criterion_02_slln_exact_on_sweep():
     violations = []
     ergodic_count = 0
     for sys_ in sweep():
-        if not is_ergodic(sys_):
+        if not sys_.ergodic:
             continue
         ergodic_count += 1
         for _ in range(50):

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -312,6 +313,49 @@ class TestExitStatus:
         assert code == (0 if ok else 1)
 
 
+def json_subcommand_options():
+    """Each JSON subcommand's option names, read off the parser itself."""
+
+    def choices(parser):
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    top = choices(_build_parser())
+    subs = {name: p for name, p in top.items() if name != "gheat"}
+    subs.update({f"gheat {name}": p for name, p in choices(top["gheat"]).items() if name != "solve"})
+    return {name: {a.dest for a in p._actions if a.dest != "help"} for name, p in subs.items()}
+
+
+class TestConfigEcho:
+    """A report's config holds every option of its subcommand but --out, plus the fixed defaults."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lab-audit", "--spec", "SPEC", "--trials", "5"],
+            ["lab-enumerate", "--n", "2"],
+            ["gheat", "invariant", "--grid", "64", "--deltas", "0.1,1"],
+            ["gheat", "converge", "--grid", "64", "--times", "1,5"],
+            ["gheat", "steady", "--grid", "64", "--t", "1"],
+            ["gheat", "xcheck", "--grid", "64", "--case", "linear"],
+            ["mc-slln", "--t", "10", "--seeds", "11", "--policies", "constant:1.0", "--tol", "1"],
+        ],
+        ids=["lab-audit", "lab-enumerate", "invariant", "converge", "steady", "xcheck", "mc-slln"],
+    )
+    def test_config_keys_are_the_options(self, tmp_path, capsys, argv):
+        spec = write_spec(tmp_path, THREE_CYCLE)
+        run([spec if a == "SPEC" else a for a in argv])
+        config = json.loads(capsys.readouterr().out)["config"]
+        name = " ".join(argv[:2]) if argv[0] == "gheat" else argv[0]
+        assert set(config) == json_subcommand_options()[name] - {"out"} | {"defaults"}
+
+    def test_lists_echo_as_parsed(self, capsys):
+        run(["mc-slln", "--t", "10", "--seeds", " 11", "--policies", "constant:1.0", "--tol", "1",
+             "--capacity-arc=0, 0.5"])
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["seeds"], config["policies"], config["capacity_arc"]) == ([11], ["constant(1)"], [0.0, 0.5])
+
+
 class TestInputErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -425,6 +469,45 @@ class TestInputErrors:
         monkeypatch.setattr(scenario, "simulate_path", no_run)
         assert run([*argv, "--phi", spec]) == 2
         assert capsys.readouterr().err.startswith("input error: indicator arc")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gheat", "invariant", "--deltas", "0.1,,1"],
+            ["gheat", "converge", "--times", "1,5,"],
+            ["mc-slln", "--seeds", "11,,23"],
+            ["mc-slln", "--policies", "constant,,greedy-bang-bang"],
+        ],
+        ids=["deltas", "times", "seeds", "policies"],
+    )
+    def test_empty_list_field_exit_2(self, monkeypatch, capsys, argv):
+        # every comma list is strict: an empty field is rejected before any solve or path
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran before rejecting the list")
+
+        for module, name in [(gheat, "solve"), (gheat, "invariant_expectation"), (gheat, "convergence_profile"),
+                             (scenario, "simulate_path"), (scenario, "slln_experiment")]:
+            monkeypatch.setattr(module, name, no_run)
+        assert run(argv) == 2
+        assert "has an empty field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gheat", "steady", "--grid", "64", "--t", "1", "--out", "MISSING/x.json"],
+            ["gheat", "solve", "--grid", "64", "--t", "0.01", "--out", "MISSING/u.csv"],
+            ["mc-slln", "--t", "1", "--seeds", "1", "--policies", "constant", "--dump-paths", "FILE"],
+        ],
+        ids=["steady-out", "solve-out", "dump-paths-file"],
+    )
+    def test_file_error_exit_2(self, tmp_path, capsys, argv):
+        # an unwritable --out or --dump-paths is an input error, not a traceback with the tolerance code
+        existing = tmp_path / "file.txt"
+        existing.write_text("")
+        paths = {"MISSING/x.json": tmp_path / "missing" / "x.json", "MISSING/u.csv": tmp_path / "missing" / "u.csv",
+                 "FILE": existing}
+        assert run([str(paths.get(a, a)) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
 
     def test_policy_fields_take_factory_defaults(self):
         params = GHeatParams(0.25, 1.0)

@@ -42,7 +42,6 @@ from ergolab.finite import (
     hull_vertices,
     invariant_prior_set,
     invariant_sets,
-    is_ergodic,
     is_expectation_preserving,
     maximal_ergodic_check,
     orbit_decomposition,
@@ -598,14 +597,14 @@ class TestSystemCacheDifferential:
 
     def assert_same(self, sys_, rng, tally):
         # decided cold, then read warm after the payoff audits
-        ergodic = is_ergodic(sys_)
+        ergodic = sys_.ergodic
         assert ergodic == literal_ergodicity(sys_), sys_
         assert fixed_space_audit(sys_) == fixed_space_oracle(sys_), sys_
         for x in self.payoffs(sys_, rng):
             rep = slln_audit(sys_, x)
             assert rep == slln_oracle(sys_, x), (sys_, x)
             tally["equality_checked"] += rep.equality_holds_qs is not None
-        assert is_ergodic(sys_) == ergodic
+        assert sys_.ergodic == ergodic
         tally["ergodic"] += ergodic
         tally["systems"] += 1
 
@@ -965,7 +964,7 @@ class TestPolarIdeal:
 
     def test_union_of_polar_points_is_polar(self):
         sys_ = self.TINY_PAIR
-        assert is_ergodic(sys_)
+        assert sys_.ergodic
         assert indecomposability_audit(sys_).statements == (True, True, True, True)
         fixed = fixed_space_audit(sys_)
         assert fixed.simple and fixed.consistent
@@ -988,7 +987,7 @@ class TestPolarIdeal:
                 tally["events"] += 1
                 tally["polar"] += polar
             if sys_.preserving:
-                ergodic = is_ergodic(sys_)
+                ergodic = sys_.ergodic
                 assert ergodic == literal_ergodicity(sys_), sys_
                 tally["ergodic"] += ergodic
             tally["systems"] += 1
@@ -1000,7 +999,7 @@ class TestPolarIdeal:
     def test_ergodicity_matches_the_literal_definition(self, sys_):
         assert sys_.preserving
         literal = literal_ergodicity(sys_)
-        assert is_ergodic(sys_) == literal
+        assert sys_.ergodic == literal
         report = indecomposability_audit(sys_)
         assert report == four_statements_oracle(sys_)
         assert report.statements == (literal,) * 4
@@ -1023,7 +1022,7 @@ class TestPolarIdeal:
         cycle = FiniteSystem(n, uniform, FiniteMap(tuple((i + 1) % n for i in range(n))))
         spread = FiniteSystem(n, uniform, identity)
         pinned = FiniteSystem(n, one_point, identity)
-        assert [is_ergodic(s) for s in (cycle, spread, pinned)] == [True, False, True]
+        assert [s.ergodic for s in (cycle, spread, pinned)] == [True, False, True]
         assert fixed_space_audit(spread) == FixedSpaceReport(dimension=n, simple=False, ergodic=False)
         assert fixed_space_audit(pinned) == FixedSpaceReport(dimension=n, simple=True, ergodic=True)
         x = Rv(tuple(np.random.default_rng(20252).uniform(-1.0, 1.0, n)))
@@ -1060,7 +1059,7 @@ class TestPolarIdeal:
         rng = np.random.default_rng(20253)
         reports = 0
         for sys_ in preserving_n_le_4():
-            is_ergodic(sys_)
+            sys_.ergodic
             fixed_space_audit(sys_)
             assert calls == [], sys_
             for _ in range(3):
@@ -1112,7 +1111,7 @@ class TestMapCaches:
         n = 13
         priors = PriorSet((ProbVector(tuple(1.0 / n for _ in range(n))),))
         sys_ = FiniteSystem(n, priors, FiniteMap(tuple((i + 1) % n for i in range(n))))
-        assert is_ergodic(sys_) and fixed_space_audit(sys_).simple
+        assert sys_.ergodic and fixed_space_audit(sys_).simple
         slln_audit(sys_, Rv(tuple(np.linspace(-1.0, 1.0, n))))
         records = set(vars(sys_))
         for members, mask in subsets(n):
@@ -1142,13 +1141,13 @@ class TestMapCaches:
     def test_non_preserving_system_raises_after_a_preserving_one_is_cached(self):
         preserving = FiniteSystem(2, PriorSet(((0.5, 0.5),)), FiniteMap((1, 0)))
         swapped = FiniteSystem(2, PriorSet(((0.3, 0.7),)), FiniteMap((1, 0)))
-        assert is_ergodic(preserving)
+        assert preserving.ergodic
         for _ in range(2):
             with pytest.raises(ContractError):
-                is_ergodic(swapped)
+                swapped.ergodic
             with pytest.raises(ContractError):
                 slln_audit(swapped, Rv((0.0, 1.0)))
-        assert is_ergodic(preserving)
+        assert preserving.ergodic
 
 
 def lab_trials(seed, draw_system=random_preserving_system):
@@ -1169,7 +1168,7 @@ class TestRecordsOnObjects:
         x = Rv((0.1, -0.4, 0.9))
 
         def audits():
-            is_ergodic(sys_)
+            sys_.ergodic
             fixed_space_audit(sys_)
             indecomposability_audit(sys_)
             slln_audit(sys_, x)
@@ -1230,7 +1229,7 @@ class TestRecordsOnObjects:
         ergodic = 0
         for _ in range(20):
             sys_ = random_preserving_system(int(rng.integers(2, 7)), rng)
-            ergodic += is_ergodic(sys_)
+            ergodic += sys_.ergodic
             fixed_space_audit(sys_)
             indecomposability_audit(sys_)
             for _ in range(50):
@@ -1254,7 +1253,7 @@ class TestRecordsOnObjects:
         """Every audit of the system, so that each of its records is built."""
         x = Rv(tuple(rng.uniform(-1.0, 1.0, sys_.n)))
         return (
-            is_ergodic(sys_),
+            sys_.ergodic,
             fixed_space_audit(sys_),
             indecomposability_audit(sys_),
             slln_audit(sys_, x),
@@ -1339,7 +1338,7 @@ class TestGrandOrbits:
         for r in range(n + 1):
             for comb in itertools.combinations(range(n), r):
                 s = frozenset(comb)
-                pre = frozenset(i for i in range(n) if theta(i) in s)
+                pre = frozenset(i for i in range(n) if theta.image[i] in s)
                 assert (pre == s) == (s in union_masks)
 
 
@@ -1374,17 +1373,17 @@ class TestInvariantSets:
 
 class TestErgodicity:
     def test_three_cycle_ergodic(self):
-        assert is_ergodic(FiniteSystem(3, UNIFORM3, CYCLE3))
+        assert FiniteSystem(3, UNIFORM3, CYCLE3).ergodic
 
     def test_identity_not_ergodic(self):
-        assert not is_ergodic(FiniteSystem(2, PriorSet(((0.5, 0.5),)), FiniteMap((0, 1))))
+        assert not FiniteSystem(2, PriorSet(((0.5, 0.5),)), FiniteMap((0, 1))).ergodic
 
     def test_two_fixed_points_with_polar_one(self):
-        assert is_ergodic(FiniteSystem(2, PriorSet(((1.0, 0.0),)), FiniteMap((0, 1))))
+        assert FiniteSystem(2, PriorSet(((1.0, 0.0),)), FiniteMap((0, 1))).ergodic
 
     def test_non_preserving_system_raises(self):
         with pytest.raises(ContractError):
-            is_ergodic(FiniteSystem(2, PriorSet(((0.3, 0.7),)), FiniteMap((1, 0))))
+            FiniteSystem(2, PriorSet(((0.3, 0.7),)), FiniteMap((1, 0))).ergodic
 
 
 class TestFixedSpace:
@@ -1423,7 +1422,7 @@ class TestBirkhoff:
         vals = data.draw(st.lists(st.floats(-3, 3), min_size=theta.n, max_size=theta.n))
         means = theta.orbits.cycle_means(Rv(tuple(vals)).as_array())
         for omega in range(theta.n):
-            assert means[omega] == pytest.approx(means[theta(omega)], abs=1e-12)
+            assert means[omega] == pytest.approx(means[theta.image[omega]], abs=1e-12)
 
 class TestSlln:
     def test_three_cycle_equality(self):
@@ -1581,7 +1580,7 @@ class TestFiniteSystemSize:
         sys_ = FiniteSystem(np.int64(2), PriorSet(((0.5, 0.5),)), FiniteMap((1, 0)))
         assert type(sys_.n) is int
         assert sys_ == FiniteSystem(2, PriorSet(((0.5, 0.5),)), FiniteMap((1, 0)))
-        assert is_ergodic(sys_)
+        assert sys_.ergodic
 
 
 class TestRandomPreservingSystemSize:

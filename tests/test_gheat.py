@@ -465,7 +465,18 @@ class TestCsv:
 
     @pytest.mark.parametrize("cell", [",nan", ",inf", ",-inf", ",abc", ""], ids=["nan", "inf", "-inf", "abc", "missing"])
     def test_bad_value_rejected(self, tmp_path, cell):
+        # x is the true node, so only the u cell is at fault
         path = tmp_path / "bad.csv"
-        path.write_text("x,u\n" + "".join(f"{k}{cell}\n" for k in range(16)))
+        path.write_text("x,u\n" + "".join(f"{x:.17g}{cell}\n" for x in CircleGrid(16).nodes()))
         with pytest.raises(InputError):
+            read_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "row", [lambda x: "foo,1", lambda x: f"{x + 1e-3:.17g},1", lambda x: f"{x:.17g},1,2"],
+        ids=["non-number-x", "off-node-x", "extra-column"],
+    )
+    def test_bad_x_column_rejected(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,u\n" + "".join(f"{row(x)}\n" for x in CircleGrid(16).nodes()))
+        with pytest.raises(InputError, match="two fields|bad number|column 'x'"):
             read_csv(str(path))

@@ -142,6 +142,14 @@ class TestSimulatePath:
         b = simulate_path(constant_policy(PARAMS, 1.0), 0.3, 5.0, 0.01, 2)
         assert not np.array_equal(a.positions, b.positions)
 
+    def test_shorter_horizon_is_a_prefix(self):
+        # the switching schedule's start must not depend on how many gaps the horizon needs
+        for switch_seed in range(12):
+            policy = random_switching_policy(PARAMS, 1.0, switch_seed)
+            short = simulate_path(policy, 0.0, 10.0, 0.01, 11).positions
+            long = simulate_path(policy, 0.0, 1000.0, 0.01, 11).positions
+            assert np.array_equal(short, long[: short.size]), switch_seed
+
     def test_switching_policy_uses_both_levels(self):
         path = simulate_path(random_switching_policy(PARAMS, rate=5.0, seed=4), 0.0, 50.0, 0.01, 5)
         inc = np.abs(np.diff(path.positions))
