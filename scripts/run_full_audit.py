@@ -6,8 +6,9 @@ is captured into a file in the same directory, so a byte comparison of two
 trees' outputs covers both output paths.  Exit code 0 means every run matched
 its expected status; runs that are expected to breach a tolerance (the seam
 cross-check, the strict-band delay spread and offset limit, the
-feedback-policy time averages) count as matching when they exit 1.  One
-mc-slln run dumps its paths into the paths/ subdirectory.
+feedback-policy time averages) count as matching when they exit 1, and the
+lab-audit of a map that does not preserve its upper expectation when it
+exits 2.  One mc-slln run dumps its paths into the paths/ subdirectory.
 
 Usage: python scripts/run_full_audit.py [--outdir reports]
 """
@@ -45,6 +46,10 @@ def main(argv=None):
     polar_pair_path = outdir / "polar_pair.json"
     polar_pair_path.write_text(json.dumps({"n": 3, "theta": [0, 1, 2], "priors": [[6e-13, 6e-13, 1 - 1.2e-12]]}))
 
+    # theta leaves point 0, weighed 1e-11, and maps nothing onto it: not preserving, so exit 2
+    transient_path = outdir / "transient_support_point.json"
+    transient_path.write_text(json.dumps({"n": 2, "theta": [1, 1], "priors": [[1e-11, 0.99999999999]]}))
+
     runs = [
         ("lab-audit three-cycle", 0,
          ["lab-audit", "--spec", str(spec_path), "--out", str(outdir / "lab_audit.json")]),
@@ -54,6 +59,8 @@ def main(argv=None):
          ["lab-audit", "--spec", str(cycle12_path), "--out", str(outdir / "lab_audit_cycle12.json")]),
         ("lab-audit union of polar points", 0,
          ["lab-audit", "--spec", str(polar_pair_path), "--out", str(outdir / "lab_audit_polar_pair.json")]),
+        ("lab-audit transient support point (rejected)", 2,
+         ["lab-audit", "--spec", str(transient_path), "--out", str(outdir / "lab_audit_transient.json")]),
         ("lab-enumerate n=3", 0,
          ["lab-enumerate", "--n", "3", "--out", str(outdir / "lab_enumerate_n3.json")]),
         ("gheat solve cos t=1", 0,

@@ -504,7 +504,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Check the options, run one command, write its output once, to --out or stdout, and return the exit status.
 
-    An OSError from the command (--dump-paths) or from writing --out is an input error.
+    An OSError from the command (--dump-paths) or from writing --out is an input error, and so is
+    a MemoryError: what a command allocates is sized by its input, as a grid too large to hold.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -520,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
             # newline="": the CSV's \r\n row ends are csv's own and are written as they are
             with open(args.out, "w", newline="") as fh:
                 fh.write(text)
-    except (InputError, OSError) as exc:
+    except (InputError, OSError, MemoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ContractError as exc:

@@ -12,9 +12,9 @@ coordinate-wise min and max), so only the generators this proof cannot
 settle cost a hull-distance LP, and scipy is imported only for such an LP.
 
 Each record lives on the object it describes and dies with it, so no audit
-hashes a system or a map to find it; the package's two caches, each bounded,
-hold prior-set vertices and wrapped's kernel rows.  A map holds its orbits,
-built on first use by orbit_decomposition: each point's preperiod, cycle and
+hashes a system or a map to find it; the package's one cache, bounded, holds
+prior-set vertices.  A map holds its orbits, built on first use by
+orbit_decomposition: each point's preperiod, cycle and
 grand-orbit label, and the cycles grouped by length as read-only (k_L, L)
 index arrays.  A system holds its read-only prior matrix, its preservation
 and ergodicity verdicts, settled on first use so that the fixed-space and
@@ -64,7 +64,6 @@ from .credal import (
     TOL_DERIVED,
     TOL_SIMPLEX,
     ContractError,
-    EventSet,
     InputError,
     PriorSet,
     ProbVector,
@@ -74,9 +73,6 @@ from .credal import (
 
 #: L-infinity tolerance for convex-hull membership decisions
 HULL_TOL = 1e-10
-
-#: orbit-class guard of the 2^k enumeration in invariant_sets
-MAX_ENUM_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -273,13 +269,6 @@ def orbit_decomposition(theta: FiniteMap) -> OrbitDecomposition:
     return OrbitDecomposition(tuple(preperiod), tuple(cycle_index), tuple(cycles))
 
 
-def pushforward(theta: FiniteMap, p: ProbVector) -> ProbVector:
-    """Image measure: mass of j becomes the mass of its theta-preimage."""
-    if theta.n != p.n:
-        raise InputError("dimension mismatch between map and prior")
-    return ProbVector(_push_weights(theta.image, p.weights))
-
-
 def _push_weights(image: tuple[int, ...], weights: tuple[float, ...] | list[float]) -> tuple[float, ...]:
     """Pushforward of one weight sequence: the additions np.add.at makes, in its index order, into zeros."""
     out = [0.0] * len(weights)
@@ -354,8 +343,20 @@ def is_expectation_preserving(sys: FiniteSystem) -> bool:
     HULL_TOL (L-infinity) of a vertex, and every vertex within HULL_TOL of a
     pushed vertex.  When the pushed generators equal the generators as a set,
     the answer is yes without finding the vertices.
+
+    First, the answer is no unless theta maps the support S, the points some
+    prior weighs above TOL_SIMPLEX, one to one onto itself.  If theta_* maps
+    the hull onto itself exactly, the pushed hull's support is theta(S), so
+    theta(S) = S; a map of a finite set onto itself is one to one, so theta
+    permutes S, and S is a union of whole cycles.  The vertex comparison
+    allows each coordinate to move by HULL_TOL, more than TOL_SIMPLEX, so
+    without this test theta could leave a support point that nothing maps
+    onto, and the four statements of indecomposability_audit, which read S,
+    could disagree.  With it each of them says that S is one cycle.
     """
-    image, priors = sys.theta.image, sys.priors.priors
+    image, priors, support = sys.theta.image, sys.priors.priors, sys.support
+    if sum(1 << j for j in {image[i] for i in range(sys.n) if support >> i & 1}) != support:
+        return False
     if {_push_weights(image, p.weights) for p in priors} == {p.weights for p in priors}:
         return True
     vertices = hull_vertices(sys.priors)
@@ -372,18 +373,6 @@ def _upper_capacity(matrix: np.ndarray, mask: np.ndarray) -> float:
 def _require_preserving(sys: FiniteSystem) -> None:
     if not sys.preserving:
         raise ContractError("map does not preserve the upper expectation")
-
-
-def invariant_sets(sys: FiniteSystem) -> list[EventSet]:
-    """All B with theta^{-1}(B) = B, the 2^k unions of grand-orbit classes."""
-    if sys.n > 24:
-        raise InputError("enumeration budget exceeded: n must be <= 24")
-    dec = sys.theta.orbits
-    k = len(dec.cycles)
-    if k > MAX_ENUM_BITS:
-        raise InputError(f"enumeration budget exceeded: {k} orbit classes")
-    class_of = dec.class_of
-    return [EventSet(sys.n, frozenset(i for i, c in enumerate(class_of) if bits >> c & 1)) for bits in range(1 << k)]
 
 
 @dataclass(frozen=True)

@@ -4,18 +4,17 @@ The evolution is du/dt = H(u_xx) with H(d) = (hi2 * max(d,0) - lo2 * max(-d,0)) 
 high diffusivity acts on convex regions, low diffusivity on concave ones.
 The scheme is explicit Euler on the periodic three-point stencil; it is
 monotone under dt * hi2 / h^2 <= 1 and therefore obeys a discrete maximum
-principle and converges to the viscosity solution.  `solve` and
-`step_explicit` run one in-place stepper: a buffer of M + 2 values holds the
-state with one ghost cell at each end, the ghost cells are written as scalars
-before each step, and every array operation of the step writes into the
-buffer or one of two work arrays, so a step allocates nothing.  Every other
-operand of a step (2, h^2, hi2/2, lo2/2, the 0.0 below and the step size) is
-an array of M equal values, filled before the loop: numpy dispatches a ufunc
-whose operands are all arrays faster than one with a Python float operand,
-and the arithmetic is the same to the last bit.  The state is wrapped in a
+principle and converges to the viscosity solution.  `solve`,
+`step_explicit` and `g_operator` run one in-place stepper: a buffer of M + 2
+values holds the state with one ghost cell at each end, the ghost cells are
+written as scalars before each step, and every array operation of the step
+writes into the buffer or one of two work arrays, so a step allocates
+nothing.  Every other operand of a step (2, h^2, hi2/2, lo2/2, the 0.0 below
+and the step size) is an array of M equal values, filled before the loop:
+numpy dispatches a ufunc whose operands are all arrays faster than one with
+a Python float operand, and the arithmetic is the same to the last bit.  The state is wrapped in a
 GridFn once, at return; GridFn is the type at the API boundary only.
-`second_diff` and `g_operator` compute the same stencil and rate as plain
-array expressions, in the same order.
+`g_operator` is the stepper's own rate, read at one step of size 0.0.
 
 The rate is computed as H(d) = max(a*d, b*d) + 0.0 with a = hi2/2 >= b =
 lo2/2 > 0.  This is the two-branch form a*max(d,0) - b*max(-d,0) to the
@@ -112,10 +111,6 @@ def random_fn(grid: CircleGrid, seed: int) -> GridFn:
     return GridFn(grid, rng.uniform(-1.0, 1.0, grid.m))
 
 
-def constant_fn(grid: CircleGrid, c: float) -> GridFn:
-    return GridFn(grid, np.full(grid.m, float(c)))
-
-
 @dataclass(frozen=True)
 class GHeatParams:
     """Squared volatility band and CFL safety factor of the solver."""
@@ -137,23 +132,12 @@ class GHeatParams:
         return self.cfl * grid.h**2 / self.sigma_hi2
 
 
-def _second_diff(v: np.ndarray, h2: float) -> np.ndarray:
-    """The periodic three-point stencil (v_{i+1} - 2 v_i + v_{i-1}) / h2 on a bare array."""
-    w = np.concatenate((v[-1:], v, v[:1]))
-    return (w[2:] - v * 2.0 + w[:-2]) / h2
-
-
-def _rate(v: np.ndarray, h2: float, p: GHeatParams) -> np.ndarray:
-    """The sign-split rate H(v_xx) = max(a*d, b*d) + 0.0 (see the module docstring)."""
-    d = _second_diff(v, h2)
-    return np.maximum(d * (0.5 * p.sigma_hi2), d * (0.5 * p.sigma_lo2)) + 0.0
-
-
-def _advance(values: np.ndarray, h2: float, p: GHeatParams, runs) -> np.ndarray:
+def _advance(values: np.ndarray, h2: float, p: GHeatParams, runs) -> tuple[np.ndarray, np.ndarray]:
     """Explicit Euler steps in place on one ghost-cell buffer; `runs` holds (step size, count) pairs.
 
-    A step is two scalar ghost-cell stores and ten ufuncs: the stencil of
-    `_second_diff`, the rate of `_rate`, then v += tau * rate.  Their operands
+    A step is two scalar ghost-cell stores and ten ufuncs: the stencil
+    d = (v_{i+1} - 2 v_i + v_{i-1}) / h2, the rate r = max(a*d, b*d) + 0.0,
+    then v += tau * r, with tau * r written into d's array.  Their operands
     are arrays filled before the loop, and tau's array is refilled once per
     run, so `solve` fills it at most twice: for dt and for the last-step
     remainder.  The arithmetic is kept as it is, operation for operation:
@@ -164,7 +148,9 @@ def _advance(values: np.ndarray, h2: float, p: GHeatParams, runs) -> np.ndarray:
     `fd_oracle` in tests/oracles.py: np.roll stencil, two-branch rate and
     u + tau * rate on a stack of data, one datum per row.
 
-    Returns a view of the buffer; the caller wraps it in a GridFn, which copies.
+    Returns a view of the buffer and the rate array, which holds the rate at
+    the state before the last step; the caller wraps one of them in a GridFn,
+    which copies.
     """
     m = values.size
     w = np.empty(m + 2)
@@ -188,19 +174,17 @@ def _advance(values: np.ndarray, h2: float, p: GHeatParams, runs) -> np.ndarray:
             multiply(d, b, out=d)
             maximum(r, d, out=r)
             add(r, zero, out=r)
-            multiply(r, tau, out=r)
-            add(v, r, out=v)
-    return v
-
-
-def second_diff(u: GridFn) -> GridFn:
-    """Periodic three-point second difference (u_{i+1} - 2 u_i + u_{i-1}) / h^2."""
-    return GridFn(u.grid, _second_diff(u.values, u.grid.h**2))
+            multiply(r, tau, out=d)
+            add(v, d, out=v)
+    return v, r
 
 
 def g_operator(u: GridFn, p: GHeatParams) -> GridFn:
-    """Sign-split diffusion: hi2/2 on positive curvature, lo2/2 on negative."""
-    return GridFn(u.grid, _rate(u.values, u.grid.h**2, p))
+    """Sign-split diffusion: hi2/2 on positive curvature, lo2/2 on negative.
+
+    The stepper's own rate, read after one step of size 0.0.
+    """
+    return GridFn(u.grid, _advance(u.values, u.grid.h**2, p, ((0.0, 1),))[1])
 
 
 def step_explicit(u: GridFn, p: GHeatParams, dt: float) -> GridFn:
@@ -213,7 +197,7 @@ def step_explicit(u: GridFn, p: GHeatParams, dt: float) -> GridFn:
     lam = dt * p.sigma_hi2 / h2
     if lam > 1.0 + 1e-12:
         raise ContractError(f"CFL violation: dt*sigma_hi2/h^2 = {lam:.6f} > 1")
-    return GridFn(u.grid, _advance(u.values, h2, p, ((dt, 1),)))
+    return GridFn(u.grid, _advance(u.values, h2, p, ((dt, 1),))[0])
 
 
 def solve(phi: GridFn, t: float, p: GHeatParams) -> GridFn:
@@ -234,7 +218,7 @@ def solve(phi: GridFn, t: float, p: GHeatParams) -> GridFn:
     n_full = int(np.floor(t / dt + 1e-9))
     rem = t - n_full * dt
     runs = ((dt, n_full), (rem, 1)) if rem > 1e-12 else ((dt, n_full),)
-    return GridFn(phi.grid, _advance(phi.values, phi.grid.h**2, p, runs))
+    return GridFn(phi.grid, _advance(phi.values, phi.grid.h**2, p, runs)[0])
 
 
 def mean(u: GridFn) -> float:
@@ -303,11 +287,6 @@ def steady_state_audit(phi0: GridFn, p: GHeatParams, horizon: float = 100.0) -> 
 # ---------------------------------------------------------------------------
 # CSV interchange: header "x,u", 17 significant digits
 # ---------------------------------------------------------------------------
-
-
-def write_csv(u: GridFn, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(to_csv_text(u))
 
 
 def to_csv_text(u: GridFn) -> str:

@@ -150,18 +150,24 @@ def _switching_sigma_per_step(policy: VolPolicy, n_steps: int, dt: float) -> np.
     """Exogenous endpoint-valued volatility path from the policy's own stream.
 
     The start level is drawn first and the switch gaps after it, so a shorter
-    horizon's schedule is a prefix of a longer one's.
+    horizon's schedule is a prefix of a longer one's.  The gaps are drawn in
+    blocks until the switch times pass the horizon: a block draw gives the
+    same gaps as one draw at a time, and np.cumsum, run on from the last
+    switch time, adds them in the same order, so the schedule does not depend
+    on the block size.  A block holds about the expected number of gaps, at
+    most n_steps + 1, so it is no larger than the path's own positions.
     """
     rng = np.random.default_rng(policy.switch_seed)
     start_high = bool(rng.integers(0, 2))
     horizon = n_steps * dt
-    gaps = []
+    size = int(min(policy.rate * horizon, n_steps)) + 1
+    blocks = []
     total = 0.0
     while total <= horizon:
-        g = rng.exponential(1.0 / policy.rate)
-        gaps.append(g)
-        total += g
-    switch_times = np.cumsum(gaps)
+        ends = np.cumsum(np.concatenate(([total], rng.exponential(1.0 / policy.rate, size))))
+        blocks.append(ends[1:])
+        total = ends[-1]
+    switch_times = np.concatenate(blocks)
     times = dt * np.arange(n_steps)
     parity = np.searchsorted(switch_times, times, side="right") % 2
     high = parity == (0 if start_high else 1)

@@ -9,7 +9,7 @@ of the dynamic-programming oracle.
 
 The density depends on x - y only, so the trapezoid operator
 K[i, j] = h * p(t, x_i, x_j) is circulant: K[i, j] = c[(i - j) mod M] with
-c_k = h * p(t, x_k, 0).  Only that one row is computed and cached, and K is
+c_k = h * p(t, x_k, 0).  Only that one row is computed, and K is
 applied as the circular convolution irfft(rfft(c) * rfft(u)), which costs
 O(M log M) time and O(M) memory.
 """
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -84,17 +83,14 @@ def wrapped_gauss(spec: WrappedKernelSpec, x, y):
     return out / math.sqrt(TWO_PI * v)
 
 
-@lru_cache(maxsize=64)
 def kernel_row(m: int, sigma2: float, t: float) -> np.ndarray:
-    """c_k = h * p(t, x_k, 0): the first row and column of the trapezoid operator; cached, read-only.
+    """c_k = h * p(t, x_k, 0): the first row and column of the trapezoid operator.
 
     p depends on x - y only and is even in it, so K[i, j] = c[(i - j) mod m].
     """
     grid = CircleGrid(m)
     spec = WrappedKernelSpec(sigma2, t)
-    row = grid.h * wrapped_gauss(spec, grid.nodes(), 0.0)
-    row.flags.writeable = False
-    return row
+    return grid.h * wrapped_gauss(spec, grid.nodes(), 0.0)
 
 
 def kernel_matrix(m: int, sigma2: float, t: float) -> np.ndarray:

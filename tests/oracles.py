@@ -6,14 +6,20 @@
 - DP: `dp_oracle` is the recursion u <- max(K_lo u, K_hi u) with one forward
   and two allocating inverse rFFTs a step; it pins dp_upper_expectation's bytes.
 - Kernels: `dense_kernel` is K[i, j] = h * p(t, x_i, x_j), pointwise from wrapped_gauss.
+
+`constant_fn`, the constant datum, is shared test data, not an oracle.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from ergolab.gheat import CircleGrid
+from ergolab.gheat import CircleGrid, GridFn
 from ergolab.wrapped import WrappedKernelSpec, kernel_row, wrapped_gauss
+
+
+def constant_fn(grid: CircleGrid, c: float) -> GridFn:
+    return GridFn(grid, np.full(grid.m, float(c)))
 
 
 def fd_step_sizes(t, dt):

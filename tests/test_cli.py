@@ -68,6 +68,12 @@ class TestLabAudit:
         spec = write_spec(tmp_path, {"n": 2, "theta": [1, 0], "priors": [[0.3, 0.7]]})
         assert run(["lab-audit", "--spec", spec]) == 2
 
+    def test_transient_support_point_exit_2(self, tmp_path, capsys):
+        # theta leaves point 0, weighed 1e-11 > TOL_SIMPLEX, and maps nothing onto it
+        spec = write_spec(tmp_path, {"n": 2, "theta": [1, 1], "priors": [[1e-11, 0.99999999999]]})
+        assert run(["lab-audit", "--spec", spec]) == 2
+        assert capsys.readouterr().err == "input error: system map does not preserve the upper expectation\n"
+
     def test_nan_weight_exit_2_with_its_own_message(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"n": 2, "theta": [0, 1], "priors": [[float("nan"), 1.0]]})
         assert run(["lab-audit", "--spec", spec]) == 2
@@ -401,6 +407,25 @@ class TestInputErrors:
     def test_grid_beyond_the_address_space_exit_2(self, capsys, argv):
         assert run([*argv, "--grid", "100000000000000000000"]) == 2
         assert capsys.readouterr().err.startswith("input error: grid size m must be <=")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gheat", "solve", "--phi", "cos", "--t", "0"],
+            ["gheat", "steady"],
+            ["gheat", "xcheck", "--case", "linear"],
+            ["mc-slln"],
+        ],
+        ids=["solve", "steady", "xcheck", "mc-slln"],
+    )
+    def test_grid_beyond_memory_exit_2(self, monkeypatch, capsys, argv):
+        # np.arange raises MemoryError for 10^11 nodes; here the allocation is made to raise it at 64
+        def no_memory(self):
+            raise MemoryError(f"Unable to allocate the {self.m} grid nodes")
+
+        monkeypatch.setattr(gheat.CircleGrid, "nodes", no_memory)
+        assert run([*argv, "--grid", "64"]) == 2
+        assert capsys.readouterr().err == "input error: Unable to allocate the 64 grid nodes\n"
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     @pytest.mark.parametrize(

@@ -4,7 +4,9 @@ The DP recursion is checked byte for byte against `oracles.dp_oracle`
 (`TestDpBatchedIrfftDifferential`, `TestDpBufferDifferential`), and to 1e-12
 against a dense matrix loop on `oracles.dense_kernel`
 (`TestDpOracleDifferential`).  Feedback paths are checked against
-`ref_feedback_path`, long-run averages against `stationary_feedback_average`.
+`ref_feedback_path`, random-switching schedules byte for byte against
+`one_draw_switching_sigma`, long-run averages against
+`stationary_feedback_average`.
 """
 
 import math
@@ -13,9 +15,10 @@ import numpy as np
 import pytest
 
 from ergolab.credal import InputError
-from ergolab.gheat import CircleGrid, GHeatParams, GridFn, cos_fn, constant_fn, indicator_fn, quad_fn, random_fn, solve
+from ergolab.gheat import CircleGrid, GHeatParams, GridFn, cos_fn, indicator_fn, quad_fn, random_fn, solve
 from ergolab.scenario import (
     VolPolicy,
+    _switching_sigma_per_step,
     capacity_estimate,
     constant_policy,
     default_policy_suite,
@@ -29,7 +32,7 @@ from ergolab.scenario import (
     time_average,
 )
 from ergolab.wrapped import WrappedKernelSpec, linear_semigroup
-from oracles import dense_kernel, dp_oracle
+from oracles import constant_fn, dense_kernel, dp_oracle
 
 GRID = CircleGrid(256)
 PARAMS = GHeatParams(0.25, 1.0)
@@ -154,6 +157,47 @@ class TestSimulatePath:
         path = simulate_path(random_switching_policy(PARAMS, rate=5.0, seed=4), 0.0, 50.0, 0.01, 5)
         inc = np.abs(np.diff(path.positions))
         assert inc.max() > 0  # path actually moves
+
+
+def one_draw_switching_sigma(policy, n_steps, dt):
+    """The random-switching volatility schedule, one exponential gap drawn at a time until the horizon is passed."""
+    rng = np.random.default_rng(policy.switch_seed)
+    start_high = bool(rng.integers(0, 2))
+    horizon = n_steps * dt
+    gaps, total = [], 0.0
+    while total <= horizon:
+        gaps.append(rng.exponential(1.0 / policy.rate))
+        total += gaps[-1]
+    parity = np.searchsorted(np.cumsum(gaps), dt * np.arange(n_steps), side="right") % 2
+    return np.where(parity == (0 if start_high else 1), policy.sigma_hi, policy.sigma_lo)
+
+
+class TestSwitchingSchedule:
+    """Block-drawn switch gaps give the one-draw-at-a-time schedule byte for byte."""
+
+    #: (n_steps, dt); with the rates below a block holds from 1 gap up to its cap of n_steps + 1
+    STEPS = ((1, 0.1), (7, 0.3), (1000, 1e-4), (1000, 1e-3), (5000, 1e-2))
+
+    @pytest.mark.parametrize("rate", [0.3, 1.0, 1e3, 1e5])
+    def test_block_draws_match_one_draw_at_a_time(self, rate):
+        levels = set()
+        for seed in range(6):
+            policy = random_switching_policy(PARAMS, rate, seed)
+            for n_steps, dt in self.STEPS:
+                if rate * n_steps * dt > 1e4:
+                    continue  # the one-draw reference would take over 0.04 s
+                got = _switching_sigma_per_step(policy, n_steps, dt)
+                assert got.tobytes() == one_draw_switching_sigma(policy, n_steps, dt).tobytes(), (seed, n_steps)
+                levels.update(got.tolist())
+        assert levels == {policy.sigma_lo, policy.sigma_hi}
+
+    @pytest.mark.parametrize("rate", [0.3, 1.0, 1e3, 1e5])
+    def test_shorter_horizon_is_a_prefix(self, rate):
+        for seed in range(6):
+            policy = random_switching_policy(PARAMS, rate, seed)
+            full = _switching_sigma_per_step(policy, 5000, 1e-3)
+            for n_steps in (1, 7, 999, 4999):
+                assert _switching_sigma_per_step(policy, n_steps, 1e-3).tobytes() == full[:n_steps].tobytes()
 
 
 def ref_feedback_path(policy, x0, horizon, dt, seed):

@@ -11,12 +11,11 @@ from ergolab.scenario import strong_regularity_audit
 from ergolab.wrapped import (
     WrappedKernelSpec,
     kernel_matrix,
-    kernel_row,
     linear_semigroup,
     regularity_bound,
     wrapped_gauss,
 )
-from oracles import dense_kernel
+from oracles import constant_fn, dense_kernel
 
 GRID512 = CircleGrid(512)
 
@@ -90,8 +89,6 @@ class TestWrappedGauss:
 class TestLinearSemigroup:
     def test_constant_fixed(self):
         grid = CircleGrid(256)
-        from ergolab.gheat import constant_fn
-
         u = linear_semigroup(constant_fn(grid, 3.0), WrappedKernelSpec(0.25, 1.0))
         assert np.max(np.abs(u.values - 3.0)) <= 1e-12
 
@@ -156,19 +153,6 @@ class TestCirculantKernel:
     @pytest.mark.parametrize("m", [256, 1024])
     def test_kernel_matrix_matches_dense_operator(self, m):
         assert np.max(np.abs(kernel_matrix(m, 0.25, 1.0 / 64) - dense_kernel(m, 0.25, 1.0 / 64))) <= 1e-14
-
-    def test_kernel_row_is_read_only(self):
-        row = kernel_row(256, 0.25, 1.0 / 64)
-        assert not row.flags.writeable
-        with pytest.raises(ValueError):
-            row[0] = 0.0
-
-    def test_kernel_row_cache_is_bounded(self):
-        maxsize = kernel_row.cache_info().maxsize
-        assert maxsize == 64
-        for k in range(maxsize + 8):
-            kernel_row(8, 0.25 + 0.01 * k, 1.0)
-        assert kernel_row.cache_info().currsize <= maxsize
 
 
 class TestRegularityBound:
