@@ -16,10 +16,16 @@ hashes a system or a map to find it; the package's one cache, bounded, holds
 prior-set vertices.  A map holds its orbits, built on first use by
 orbit_decomposition: each point's preperiod, cycle and
 grand-orbit label, and the cycles grouped by length as read-only (k_L, L)
-index arrays.  A system holds its read-only prior matrix, its preservation
-and ergodicity verdicts, settled on first use so that the fixed-space and
-four-statement audits read rather than decide them again, and its support,
-the bitmask of the points some prior weighs above TOL_SIMPLEX.  An event is
+index arrays.  System generation reads no orbit record: invariant_prior_set
+takes the largest preperiod from the shrinking images theta^k(space) and
+pushes until an iterate repeats.  A system holds its read-only prior matrix,
+built only by the routes that form a product with it (slln_audit,
+maximal_ergodic_check and upper_capacity), its preservation and ergodicity
+verdicts, settled on first use so that the fixed-space and four-statement
+audits read rather than decide them again, and two bitmasks read from the
+priors' weight tuples: its support, the points some prior weighs above
+TOL_SIMPLEX, and the points some prior weighs other than zero.  A
+preservation decision therefore builds no matrix.  An event is
 polar iff it misses the support, so polar events form an ideal, and every
 polarity verdict is a mask test; the system is ergodic iff its support lies
 in one grand-orbit class, and its fixed space is simple under the same
@@ -137,12 +143,14 @@ class FiniteSystem:
     @cached_property
     def support(self) -> int:
         """Bitmask of the points some prior weighs above TOL_SIMPLEX; an event is polar iff it misses it."""
-        return sum(1 << i for i, w in enumerate(np.maximum.reduce(self.matrix).tolist()) if w > TOL_SIMPLEX)
+        columns = zip(*(p.weights for p in self.priors.priors))
+        return sum(1 << i for i, column in enumerate(columns) if max(column) > TOL_SIMPLEX)
 
     @cached_property
     def _weighted(self) -> int:
         """Bitmask of the points some prior weighs other than zero."""
-        return sum(1 << i for i, column in enumerate(self.matrix.T.tolist()) if any(column))
+        columns = zip(*(p.weights for p in self.priors.priors))
+        return sum(1 << i for i, column in enumerate(columns) if any(column))
 
     @cached_property
     def ergodic(self) -> bool:
@@ -237,13 +245,25 @@ class OrbitDecomposition:
 VERTEX_CACHE_SIZE = 256
 
 
+def _cycle_points(img: tuple[int, ...]) -> tuple[set[int], int]:
+    """The union of the cycles and the largest preperiod P.
+
+    The images theta^k(space) shrink until theta permutes them, and that
+    last image is the union of the cycles.  They shrink for exactly P steps:
+    theta^(P-1) of a point of preperiod P still lies off the cycles.
+    """
+    nodes = set(img)
+    steps = 0 if len(nodes) == len(img) else 1
+    while (shrunk := {img[i] for i in nodes}) != nodes:
+        nodes = shrunk
+        steps += 1
+    return nodes, steps
+
+
 def orbit_decomposition(theta: FiniteMap) -> OrbitDecomposition:
     """Cycles numbered by least member, each listed from it; preperiod and cycle of every point."""
     img = theta.image
-    # the images theta^k(space) shrink until theta permutes them: that is the union of the cycles
-    nodes = set(img)
-    while (shrunk := {img[i] for i in nodes}) != nodes:
-        nodes = shrunk
+    nodes, _ = _cycle_points(img)
     cycles: list[tuple[int, ...]] = []
     cycle_id_of_node: dict[int, int] = {}
     for z in sorted(nodes):
@@ -462,9 +482,8 @@ def slln_audit(sys: FiniteSystem, x: Rv) -> SllnReport:
     bad_members = tuple(i for i, m in enumerate(means) if m < below or m > above)
     support = sys.support
 
-    xv = x.values
-    moved = (i for i, (j, v) in enumerate(zip(sys.theta.image, xv)) if abs(xv[j] - v) > TOL_SIMPLEX)
-    theta_fixed_qs = _misses(support, moved)
+    xv, img = x.values, sys.theta.image
+    theta_fixed_qs = not any(abs(xv[img[i]] - xv[i]) > TOL_SIMPLEX for i in range(sys.n) if support >> i & 1)
 
     fixed_bad_members: tuple[int, ...] = ()
     fixed_bad_cap = 0.0
@@ -660,23 +679,29 @@ def enumerate_preserving_systems(n: int, catalog: list[PriorSet] | None = None):
 def invariant_prior_set(theta: FiniteMap, seed_prior: ProbVector) -> PriorSet:
     """A prior set preserved by theta, grown from one seed prior.
 
-    Pushes the seed forward past every preperiod; the remaining pushforward
-    iterates are permuted cyclically by theta, so their collection has
-    theta-invariant convex hull.
+    Pushes the seed once per step while the images theta^k(space) still
+    shrink, that is P times for the largest preperiod P, and then until an
+    iterate repeats; the distinct iterates, in order, are the prior set.
+    From step P on every weight off the cycles is +0.0, so a push only moves
+    whole masses between cycle points: each cycle point's sum adds one
+    cycle weight to zeros, which is exact up to the sign of a zero, and
+    equal tuples compare equal across that sign.  The iterates are then
+    periodic, the first repeat closes the period, and theta permutes them
+    cyclically, so their collection has theta-invariant convex hull.  No
+    orbit record is built.
     """
     if theta.n != seed_prior.n:
         raise InputError("dimension mismatch between map and prior")
-    dec = theta.orbits
     img = theta.image
+    _, steps = _cycle_points(img)
     weights = seed_prior.weights
-    for _ in range(dec.max_preperiod):
+    for _ in range(steps):
         weights = _push_weights(img, weights)
     seen = set()
     unique = []
-    for _ in range(dec.cycle_lcm):
-        if weights not in seen:
-            seen.add(weights)
-            unique.append(ProbVector(weights))
+    while weights not in seen:
+        seen.add(weights)
+        unique.append(ProbVector(weights))
         weights = _push_weights(img, weights)
     return PriorSet(tuple(unique))
 

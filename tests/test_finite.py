@@ -873,6 +873,26 @@ class TestRandomDraws:
             seed = ProbVector(tuple(raw / raw.sum()))
             got = invariant_prior_set(theta, seed).matrix()
             assert got.tobytes() == oracle_invariant_prior_rows(theta, seed.as_array()).tobytes(), (theta, seed)
+        # seeds with zero weights of either sign; 603 of them weigh no point of largest preperiod P,
+        # so their pushes turn periodic before step P, and the prior order rests on pushing P times
+        rng = np.random.default_rng(20271)
+        early = 0
+        for _ in range(1500):
+            n = int(rng.integers(1, 10))
+            theta = FiniteMap(tuple(rng.integers(0, n, n).tolist()))
+            preperiod = oracle_orbits(theta).preperiod
+            deepest = max(preperiod)
+            allowed = [i for i in range(n) if deepest == 0 or preperiod[i] < deepest or rng.random() < 2 / 3]
+            raw = np.zeros(n)
+            raw[allowed] = rng.uniform(0.0, 1.0, len(allowed)) * 10.0 ** rng.integers(-8, 1, len(allowed))
+            raw[allowed] *= rng.random(len(allowed)) < 0.5
+            raw[allowed[int(rng.integers(0, len(allowed)))]] += 1.0
+            weights = [-0.0 if w == 0.0 and rng.random() < 0.5 else w for w in (raw / raw.sum()).tolist()]
+            seed = ProbVector(tuple(weights))
+            got = invariant_prior_set(theta, seed).matrix()
+            assert got.tobytes() == oracle_invariant_prior_rows(theta, seed.as_array()).tobytes(), (theta, seed)
+            early += deepest > 0 and not any(w for w, k in zip(weights, preperiod) if k == deepest)
+        assert early >= 500
 
 
 def subsets(n):
@@ -1176,6 +1196,54 @@ class TestMapCaches:
             with pytest.raises(ContractError):
                 slln_audit(swapped, Rv((0.0, 1.0)))
         assert preserving.ergodic
+
+
+def signed_zero_system(rng):
+    """The identity on 2-5 points under one to three priors weighing each point 0.0, -0.0, -1e-12, 1e-12 or 2e-12, and one point the rest."""
+    n = int(rng.integers(2, 6))
+    rows = []
+    for _ in range(int(rng.integers(1, 4))):
+        weights = rng.choice([0.0, -0.0, -1e-12, 1e-12, 2e-12], n).tolist()
+        rest = int(rng.integers(0, n))
+        weights[rest] = 1.0 - sum(w for i, w in enumerate(weights) if i != rest)
+        rows.append(ProbVector(tuple(weights)))
+    return FiniteSystem(n, PriorSet(tuple(rows)), FiniteMap(tuple(range(n))))
+
+
+class TestRecordsBuiltOnDemand:
+    """The masks come from the priors' weights; the matrix and the orbit record are built only by routes that read them."""
+
+    def test_masks_match_their_matrix_definitions(self):
+        rng = np.random.default_rng(20272)
+        systems = [tiny_weight_system(rng) for _ in range(1000)] + [signed_zero_system(rng) for _ in range(1000)]
+        partial = 0
+        for sys_ in systems:
+            support, weighted = sys_.support, sys_._weighted
+            assert "matrix" not in vars(sys_)
+            matrix = sys_.matrix
+            assert support == sum(
+                1 << i for i, w in enumerate(np.maximum.reduce(matrix).tolist()) if w > TOL_SIMPLEX
+            ), sys_
+            assert weighted == sum(1 << i for i, column in enumerate(matrix.T.tolist()) if any(column)), sys_
+            partial += support != weighted
+        assert partial >= 500
+
+    def test_rejected_sweep_pairs_build_no_matrix(self):
+        rejected = 0
+        for n in (1, 2, 3):
+            for theta in all_maps(n):
+                for priors in prior_catalog(n):
+                    sys_ = FiniteSystem(n, priors, theta)
+                    rejected += not sys_.preserving
+                    assert "matrix" not in vars(sys_), sys_
+        assert rejected > 0
+
+    @pytest.mark.parametrize("seed", [7, 20273])
+    def test_drawn_and_decided_trials_build_no_orbit_record(self, seed):
+        for sys_, xi, k in lab_trials(seed):
+            assert is_expectation_preserving(sys_)
+            maximal_ergodic_check(sys_, xi, k)
+            assert "orbits" not in vars(sys_.theta), sys_
 
 
 def lab_trials(seed, draw_system=random_preserving_system):
