@@ -4,21 +4,20 @@ A system is a self-map theta of {0, ..., n-1} together with a credal set of
 priors.  The upper expectation is the support function of the prior hull and
 the pushforward theta_* is linear, so the map preserves the upper expectation
 iff theta_* maps the hull onto itself, that is iff theta_* permutes the
-hull's vertices.  The vertices of a prior set are found once and cached; a
-decision is then a comparison of two small vertex arrays.  A generator that
-one coordinate separates from the other generators by more than HULL_TOL is
-a vertex by that coordinate alone (the hull of the others lies between their
+hull's vertices.  A decision that needs the vertices finds them for that
+call and compares two small vertex arrays.  A generator that one coordinate
+separates from the other generators by more than HULL_TOL is a vertex by
+that coordinate alone (the hull of the others lies between their
 coordinate-wise min and max), so only the generators this proof cannot
 settle cost a hull-distance LP, and scipy is imported only for such an LP.
 
 Each record lives on the object it describes and dies with it, so no audit
-hashes a system or a map to find it; the package's one cache, bounded, holds
-prior-set vertices.  A map holds its orbits, built on first use by
-orbit_decomposition: each point's preperiod, cycle and
-grand-orbit label, and the cycles grouped by length as read-only (k_L, L)
-index arrays.  System generation reads no orbit record: invariant_prior_set
-takes the largest preperiod from the shrinking images theta^k(space) and
-pushes until an iterate repeats.  A system holds its read-only prior matrix,
+hashes a system or a map to find it, and the package keeps no cache.  A map
+holds its orbits, built on first use by orbit_decomposition: the largest
+preperiod, each point's cycle, which labels its grand orbit, and the cycles
+grouped by length as read-only (k_L, L) index arrays.  System generation
+reads no orbit record: invariant_prior_set takes the largest preperiod from
+the shrinking images theta^k(space) and pushes until an iterate repeats.  A system holds its read-only prior matrix,
 built only by the routes that form a product with it (slln_audit,
 maximal_ergodic_check and upper_capacity), its preservation and ergodicity
 verdicts, settled on first use so that the fixed-space and four-statement
@@ -44,11 +43,9 @@ vectors are validated on their tuple, generators and hull vertices are
 pushed forward on their weight tuples (np.add.at's additions, in its order),
 events are member tuples or subset bitmasks, the envelope's ends are Python
 min and max of one product's entries, and the maximal check and the
-four-statement audit walk the image tuple.  The 1-d np.unique is avoided
-because it imports numpy.ma on first use; hull_vertices' np.unique(rows,
-axis=0) does not (checked on numpy 2.4.6), so it stays.  Maxima and sums
-call np.maximum.reduce and np.add.reduce, the ufunc reduction that
-ndarray.max() and .sum() reach through a Python wrapper.
+four-statement audit walk the image tuple.  Maxima and sums call
+np.maximum.reduce and np.add.reduce, the ufunc reduction that ndarray.max()
+and .sum() reach through a Python wrapper.
 
 On a finite space every orbit is preperiodic, so Birkhoff averages are exact
 cycle means, monotone limits of sets are attained after finitely many steps,
@@ -62,7 +59,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -160,7 +157,7 @@ class FiniteSystem:
         """
         _require_preserving(self)
         support = self.support
-        return len({c for i, c in enumerate(self.theta.orbits.class_of) if support >> i & 1}) <= 1
+        return len({c for i, c in enumerate(self.theta.orbits.cycle_index) if support >> i & 1}) <= 1
 
     def upper_capacity(self, members: tuple[int, ...]) -> float:
         """Upper capacity max(P @ 1_A) of the event with the given members.
@@ -188,32 +185,23 @@ def _read_only(entries, dtype=np.intp) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OrbitDecomposition:
-    """Preperiod and eventual cycle of every point of a finite map, and its grand orbits.
+    """Largest preperiod of a finite map, the eventual cycle of every point, and its cycles.
 
     Each component of the functional graph {i -- theta(i)} holds exactly one
     cycle, so the grand orbits are the points grouped by cycle: there are
-    len(cycles) of them, and a set B satisfies theta^{-1}(B) = B exactly when
-    B is a union of them.  The record is held by its map and shared by every
-    system with that map, so its arrays are read-only.
+    len(cycles) of them, cycle_index labels each point's, and a set B
+    satisfies theta^{-1}(B) = B exactly when B is a union of them.  The
+    record is held by its map and shared by every system with that map, so
+    its arrays are read-only.
     """
 
-    preperiod: tuple[int, ...]
+    max_preperiod: int
     cycle_index: tuple[int, ...]
     cycles: tuple[tuple[int, ...], ...]
 
     @property
-    def max_preperiod(self) -> int:
-        return max(self.preperiod)
-
-    @property
     def cycle_lcm(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles))
-
-    @cached_property
-    def class_of(self) -> tuple[int, ...]:
-        """Grand-orbit label of each point: cycle_index relabelled by first appearance, that is by least member."""
-        label: dict[int, int] = {}
-        return tuple(label.setdefault(c, len(label)) for c in self.cycle_index)
 
     @cached_property
     def cycle_arrays(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
@@ -241,10 +229,6 @@ class OrbitDecomposition:
         return per_cycle[index]
 
 
-#: cache size of the per-prior-set vertex arrays
-VERTEX_CACHE_SIZE = 256
-
-
 def _cycle_points(img: tuple[int, ...]) -> tuple[set[int], int]:
     """The union of the cycles and the largest preperiod P.
 
@@ -261,9 +245,9 @@ def _cycle_points(img: tuple[int, ...]) -> tuple[set[int], int]:
 
 
 def orbit_decomposition(theta: FiniteMap) -> OrbitDecomposition:
-    """Cycles numbered by least member, each listed from it; preperiod and cycle of every point."""
+    """Cycles numbered by least member, each listed from it; the largest preperiod and the cycle of every point."""
     img = theta.image
-    nodes, _ = _cycle_points(img)
+    nodes, max_preperiod = _cycle_points(img)
     cycles: list[tuple[int, ...]] = []
     cycle_id_of_node: dict[int, int] = {}
     for z in sorted(nodes):
@@ -277,16 +261,13 @@ def orbit_decomposition(theta: FiniteMap) -> OrbitDecomposition:
         for node in cyc:
             cycle_id_of_node[node] = len(cycles)
         cycles.append(tuple(cyc))
-    preperiod = []
     cycle_index = []
     for i in range(theta.n):
-        k, cur = 0, i
+        cur = i
         while cur not in nodes:
             cur = img[cur]
-            k += 1
-        preperiod.append(k)
         cycle_index.append(cycle_id_of_node[cur])
-    return OrbitDecomposition(tuple(preperiod), tuple(cycle_index), tuple(cycles))
+    return OrbitDecomposition(max_preperiod, tuple(cycle_index), tuple(cycles))
 
 
 def _push_weights(image: tuple[int, ...], weights: tuple[float, ...] | list[float]) -> tuple[float, ...]:
@@ -320,11 +301,12 @@ def hull_distance(points: np.ndarray, q: np.ndarray) -> float:
     return float(res.fun)
 
 
-@lru_cache(maxsize=VERTEX_CACHE_SIZE)
 def hull_vertices(priors: PriorSet) -> np.ndarray:
-    """The vertices of the prior hull, as a read-only array of prior rows.
+    """The vertices of the prior hull, as an array of prior rows.
 
-    Exact duplicate rows are dropped.  Each remaining generator is then tested,
+    Exact duplicate rows are dropped, the first occurrence kept: weight
+    tuples compare equal across the sign of a zero, so each row keeps its
+    input's own zeros.  Each remaining generator is then tested,
     in order, against the generators still kept and dropped if it lies within
     HULL_TOL of their hull, so of two near-duplicates one representative
     stays.  A generator g is kept without an LP when one coordinate separates
@@ -335,9 +317,7 @@ def hull_vertices(priors: PriorSet) -> np.ndarray:
     distance within HULL_TOL; only the generators of larger sets that this
     proof cannot settle need hull-distance LPs.
     """
-    rows = priors.matrix()
-    _, first = np.unique(rows, axis=0, return_index=True)
-    rows = rows[np.sort(first)]
+    rows = np.asarray(list(dict.fromkeys(p.weights for p in priors.priors)))
     keep = list(range(len(rows)))
     for i in range(len(rows)):
         others = rows[[j for j in keep if j != i]]
@@ -348,7 +328,7 @@ def hull_vertices(priors: PriorSet) -> np.ndarray:
             continue  # separated by one coordinate: a vertex
         if len(others) == 1 or hull_distance(others, rows[i]) <= HULL_TOL:
             keep.remove(i)
-    return _read_only(rows[keep], float)
+    return rows[keep]
 
 
 def is_expectation_preserving(sys: FiniteSystem) -> bool:
@@ -550,7 +530,6 @@ class IndecomposabilityReport:
     """
 
     statements: tuple[bool, bool, bool, bool]
-    search_bound: int
 
     @property
     def consistent(self) -> bool:
@@ -619,7 +598,7 @@ def indecomposability_audit(sys: FiniteSystem) -> IndecomposabilityReport:
             s4 = False
             break
 
-    return IndecomposabilityReport(statements=(s1, s2, s3, s4), search_bound=bound)
+    return IndecomposabilityReport(statements=(s1, s2, s3, s4))
 
 
 # ---------------------------------------------------------------------------

@@ -262,7 +262,6 @@ GENERATOR_TOL = 1e-8
 class SteadyStateReport:
     """Flatness of the long-time state and residual of the generator on it."""
 
-    horizon: float
     oscillation: float
     generator_norm: float
 
@@ -281,7 +280,7 @@ def steady_state_audit(phi0: GridFn, p: GHeatParams, horizon: float = 100.0) -> 
     u = solve(phi0, horizon, p)
     osc = float(u.values.max() - u.values.min())
     gnorm = float(np.max(np.abs(g_operator(u, p).values)))
-    return SteadyStateReport(horizon, osc, gnorm)
+    return SteadyStateReport(osc, gnorm)
 
 
 # ---------------------------------------------------------------------------

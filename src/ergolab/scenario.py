@@ -127,11 +127,9 @@ def default_policy_suite(p: GHeatParams) -> list[VolPolicy]:
 
 @dataclass(frozen=True, eq=False)
 class PathSample:
-    """One simulated trajectory: step size, positions in [0, 2*pi), seed."""
+    """One simulated trajectory: its positions in [0, 2*pi)."""
 
-    dt: float
     positions: np.ndarray
-    seed: int
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
@@ -155,22 +153,26 @@ def _switching_sigma_per_step(policy: VolPolicy, n_steps: int, dt: float) -> np.
     same gaps as one draw at a time, and np.cumsum, run on from the last
     switch time, adds them in the same order, so the schedule does not depend
     on the block size.  A block holds about the expected number of gaps, at
-    most n_steps + 1, so it is no larger than the path's own positions.
+    most n_steps + 1, so it is no larger than the path's own positions.  A
+    block settles the switch count of each step that falls before its last
+    switch time and after every earlier block's, and is then dropped, so
+    memory grows with the path, not with rate * horizon; time still does.
     """
     rng = np.random.default_rng(policy.switch_seed)
     start_high = bool(rng.integers(0, 2))
     horizon = n_steps * dt
     size = int(min(policy.rate * horizon, n_steps)) + 1
-    blocks = []
-    total = 0.0
+    times = dt * np.arange(n_steps)
+    counts = np.empty(n_steps, dtype=np.intp)
+    done, start, total = 0, 0, 0.0
     while total <= horizon:
         ends = np.cumsum(np.concatenate(([total], rng.exponential(1.0 / policy.rate, size))))
-        blocks.append(ends[1:])
         total = ends[-1]
-    switch_times = np.concatenate(blocks)
-    times = dt * np.arange(n_steps)
-    parity = np.searchsorted(switch_times, times, side="right") % 2
-    high = parity == (0 if start_high else 1)
+        stop = int(np.searchsorted(times, total))
+        if stop > start:  # at rates far above 1/dt most blocks end before the next step
+            counts[start:stop] = done + np.searchsorted(ends[1:], times[start:stop], side="right")
+        done, start = done + size, stop
+    high = counts % 2 == (0 if start_high else 1)
     return np.where(high, policy.sigma_hi, policy.sigma_lo)
 
 
@@ -192,12 +194,12 @@ def simulate_path(policy: VolPolicy, x0: float, horizon: float, dt: float, seed:
     n_steps = int(round(horizon / dt))
     x0 = float(np.mod(x0, TWO_PI))
     if n_steps == 0:
-        return PathSample(dt, np.asarray([x0]), seed)
+        return PathSample(np.asarray([x0]))
     try:
         positions = _path_positions(policy, x0, n_steps, dt, seed)
     except MemoryError as exc:
         raise InputError(f"horizon={horizon} at dt={dt:g} takes {n_steps} steps, more than memory holds") from exc
-    return PathSample(dt, positions, seed)
+    return PathSample(positions)
 
 
 def _path_positions(policy: VolPolicy, x0: float, n_steps: int, dt: float, seed: int) -> np.ndarray:
@@ -251,8 +253,6 @@ class McSllnReport:
 
     target: float
     tol: float
-    horizon: float
-    dt: float
     entries: tuple[McSllnEntry, ...]
 
     @property
@@ -295,7 +295,7 @@ def slln_experiment(
             path = simulate_path(policy, SLLN_X0, horizon, dt, seed)
             avg = time_average(path, phi)
             entries.append(McSllnEntry(policy.label, seed, avg, abs(avg - target)))
-    return McSllnReport(target=target, tol=tol, horizon=horizon, dt=dt, entries=tuple(entries))
+    return McSllnReport(target=target, tol=tol, entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +364,6 @@ class RegularityAuditRow:
 class RegularityAuditReport:
     """Vanishing of sup_x T_t 1_{A_n} along a shrinking interval family."""
 
-    t: float
     rows: tuple[RegularityAuditRow, ...]
     non_increasing: bool
     within_bounds: bool
@@ -417,7 +416,6 @@ def strong_regularity_audit(
     non_inc = all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
     within = all(r.sup_value <= min(1.0, r.closed_form_bound) + 1e-9 for r in rows)
     return RegularityAuditReport(
-        t=t,
         rows=tuple(rows),
         non_increasing=non_inc,
         within_bounds=within,

@@ -143,8 +143,10 @@ def test_criterion_02_slln_exact_on_sweep():
             rep = slln_audit(sys_, x)
             if rep.bad_capacity > 1e-12:
                 violations.append((sys_, x, rep.bad_capacity))
-        # a payoff fixed along the map: constant on each grand-orbit class
-        class_of = orbit_decomposition(sys_.theta).class_of
+        # a payoff fixed along the map: constant on each grand-orbit class,
+        # the classes numbered by first appearance
+        first: dict[int, int] = {}
+        class_of = [first.setdefault(c, len(first)) for c in orbit_decomposition(sys_.theta).cycle_index]
         labels = rng.uniform(-1.0, 1.0, max(class_of) + 1)
         xf = Rv(tuple(labels[np.asarray(class_of)]))
         rep = slln_audit(sys_, xf)

@@ -5,11 +5,12 @@ The DP recursion is checked byte for byte against `oracles.dp_oracle`
 against a dense matrix loop on `oracles.dense_kernel`
 (`TestDpOracleDifferential`).  Feedback paths are checked against
 `ref_feedback_path`, random-switching schedules byte for byte against
-`one_draw_switching_sigma`, long-run averages against
-`stationary_feedback_average`.
+`one_draw_switching_sigma` and `concatenated_switching_sigma`, long-run
+averages against `stationary_feedback_average`.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,8 +173,23 @@ def one_draw_switching_sigma(policy, n_steps, dt):
     return np.where(parity == (0 if start_high else 1), policy.sigma_hi, policy.sigma_lo)
 
 
+def concatenated_switching_sigma(policy, n_steps, dt):
+    """The random-switching volatility schedule from the blocks of switch times, all kept and joined."""
+    rng = np.random.default_rng(policy.switch_seed)
+    start_high = bool(rng.integers(0, 2))
+    horizon = n_steps * dt
+    size = int(min(policy.rate * horizon, n_steps)) + 1
+    blocks, total = [], 0.0
+    while total <= horizon:
+        ends = np.cumsum(np.concatenate(([total], rng.exponential(1.0 / policy.rate, size))))
+        blocks.append(ends[1:])
+        total = ends[-1]
+    parity = np.searchsorted(np.concatenate(blocks), dt * np.arange(n_steps), side="right") % 2
+    return np.where(parity == (0 if start_high else 1), policy.sigma_hi, policy.sigma_lo)
+
+
 class TestSwitchingSchedule:
-    """Block-drawn switch gaps give the one-draw-at-a-time schedule byte for byte."""
+    """Block-drawn switch gaps give the one-draw-at-a-time and the concatenated-blocks schedules byte for byte."""
 
     #: (n_steps, dt); with the rates below a block holds from 1 gap up to its cap of n_steps + 1
     STEPS = ((1, 0.1), (7, 0.3), (1000, 1e-4), (1000, 1e-3), (5000, 1e-2))
@@ -190,6 +206,27 @@ class TestSwitchingSchedule:
                 assert got.tobytes() == one_draw_switching_sigma(policy, n_steps, dt).tobytes(), (seed, n_steps)
                 levels.update(got.tolist())
         assert levels == {policy.sigma_lo, policy.sigma_hi}
+
+    @pytest.mark.parametrize("rate", [0.01, 1.0, 1e3, 1e5])
+    def test_folded_counts_match_concatenated_switch_times(self, rate):
+        steps = ((1, 0.1), (7, 0.3), (1000, 1e-3), (5000, 1e-2))
+        for seed in range(6):
+            policy = random_switching_policy(PARAMS, rate, seed)
+            for n_steps, dt in steps:
+                got = _switching_sigma_per_step(policy, n_steps, dt)
+                assert got.tobytes() == concatenated_switching_sigma(policy, n_steps, dt).tobytes(), (seed, n_steps)
+
+    def test_memory_does_not_grow_with_the_switch_count(self):
+        # 10^6 switches on a 100-step path: held at once they would take 8 MB
+        policy = random_switching_policy(PARAMS, 1e6, 3)
+        _switching_sigma_per_step(random_switching_policy(PARAMS, 1.0, 3), 100, 0.01)  # numpy's first-call setup
+        tracemalloc.start()
+        try:
+            _switching_sigma_per_step(policy, 100, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     @pytest.mark.parametrize("rate", [0.3, 1.0, 1e3, 1e5])
     def test_shorter_horizon_is_a_prefix(self, rate):
