@@ -13,37 +13,35 @@ settle cost a hull-distance LP, and scipy is imported only for such an LP.
 
 Each record lives on the object it describes and dies with it, so no audit
 hashes a system or a map to find it, and the package keeps no cache.  A map
-holds its orbits, built on first use by orbit_decomposition: the largest
-preperiod, each point's cycle, which labels its grand orbit, and the cycles
-grouped by length as read-only (k_L, L) index arrays.  System generation
+holds its orbits, built on first use by orbit_decomposition: each point's
+cycle, which labels its grand orbit, and the cycles.  System generation
 reads no orbit record: invariant_prior_set takes the largest preperiod from
-the shrinking images theta^k(space) and pushes until an iterate repeats.  A system holds its read-only prior matrix,
-built only by the routes that form a product with it (slln_audit,
-maximal_ergodic_check and upper_capacity), its preservation and ergodicity
-verdicts, settled on first use so that the fixed-space and four-statement
-audits read rather than decide them again, and two bitmasks read from the
-priors' weight tuples: its support, the points some prior weighs above
-TOL_SIMPLEX, and the points some prior weighs other than zero.  A
-preservation decision therefore builds no matrix.  An event is
-polar iff it misses the support, so polar events form an ideal, and every
-polarity verdict is a mask test; the system is ergodic iff its support lies
-in one grand-orbit class, and its fixed space is simple under the same
+the shrinking images theta^k(space) and pushes until an iterate repeats.  A
+system holds its read-only prior matrix, built only by the routes that form
+a product with it (slln_audit, maximal_ergodic_check and upper_capacity),
+its preservation and ergodicity verdicts, settled on first use so that the
+fixed-space and four-statement audits read rather than decide them again,
+and two bitmasks read from the priors' weight tuples: its support, the
+points some prior weighs above TOL_SIMPLEX, and the points some prior weighs
+other than zero.  A preservation decision therefore builds no matrix.  An
+event is polar iff it misses the support, so polar events form an ideal, and
+every polarity verdict is a mask test; the system is ergodic iff its support
+lies in one grand-orbit class, and its fixed space is simple under the same
 condition, because the class indicators span it.  Only slln_audit reports
 capacities, through sys.upper_capacity: max(P @ 1_A) on the event's boolean
 mask, the product upper_exp forms on its indicator.  slln_audit's envelope
 is one product pv = P @ x, lower = min(pv) and upper = max(pv); negation
 commutes with round to nearest, so min(P @ x) equals -max(P @ -x), and both
-ends equal lower_exp and upper_exp up to the sign of a zero.  A payoff's
-cycle means are np.add.reduce(vals[members], axis=1) / L per length group,
-which is np.mean of each cycle bit for bit: numpy reduces each row of a
-C-ordered array by the same pairwise sum as a 1-d array.  The per-call paths
-stay in plain Python where numpy's fixed cost per call would exceed the work
-on a few entries: the cycle decomposition walks the image tuple, probability
-vectors are validated on their tuple, generators and hull vertices are
-pushed forward on their weight tuples (np.add.at's additions, in its order),
-events are member tuples or subset bitmasks, the envelope's ends are Python
-min and max of one product's entries, and the maximal check and the
-four-statement audit walk the image tuple.  Maxima and sums call
+ends equal lower_exp and upper_exp up to the sign of a zero.  A cycle's mean
+is np.add.reduce of the payoff's values on the cycle over its length,
+np.mean's own sum and division, so it is np.mean bit for bit.  The per-call
+paths stay in plain Python where numpy's fixed cost per call would exceed
+the work on a few entries: the cycle decomposition walks the image tuple,
+probability vectors are validated on their tuple, generators and hull
+vertices are pushed forward on their weight tuples (np.add.at's additions,
+in its order), events are member tuples or subset bitmasks, the envelope's
+ends are Python min and max of one product's entries, and the maximal check
+and the four-statement audit walk the image tuple.  Maxima and sums call
 np.maximum.reduce and np.add.reduce, the ufunc reduction that ndarray.max()
 and .sum() reach through a Python wrapper.
 
@@ -57,7 +55,6 @@ can be checked exhaustively.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -126,7 +123,9 @@ class FiniteSystem:
     @cached_property
     def matrix(self) -> np.ndarray:
         """The prior matrix, one row per prior, read-only because every audit of the system shares it."""
-        return _read_only(self.priors.matrix(), float)
+        matrix = self.priors.matrix()
+        matrix.flags.writeable = False
+        return matrix
 
     def __getstate__(self):
         # an unpickled array is writeable, so the matrix is rebuilt read-only on first use instead
@@ -177,56 +176,27 @@ def _misses(points: int, members) -> bool:
     return not any(points >> i & 1 for i in members)
 
 
-def _read_only(entries, dtype=np.intp) -> np.ndarray:
-    out = np.asarray(entries, dtype=dtype)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class OrbitDecomposition:
-    """Largest preperiod of a finite map, the eventual cycle of every point, and its cycles.
+    """The eventual cycle of every point of a finite map, and its cycles.
 
     Each component of the functional graph {i -- theta(i)} holds exactly one
     cycle, so the grand orbits are the points grouped by cycle: there are
     len(cycles) of them, cycle_index labels each point's, and a set B
-    satisfies theta^{-1}(B) = B exactly when B is a union of them.  The
-    record is held by its map and shared by every system with that map, so
-    its arrays are read-only.
+    satisfies theta^{-1}(B) = B exactly when B is a union of them.
     """
 
-    max_preperiod: int
     cycle_index: tuple[int, ...]
     cycles: tuple[tuple[int, ...], ...]
 
-    @property
-    def cycle_lcm(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles))
-
-    @cached_property
-    def cycle_arrays(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-        """cycle_index as an index array, and per cycle length L the ids of the L-cycles and their (k_L, L) member array."""
-        ids_of_length: dict[int, list[int]] = {}
-        for cid, cyc in enumerate(self.cycles):
-            ids_of_length.setdefault(len(cyc), []).append(cid)
-        by_length = tuple(
-            (_read_only(ids), _read_only([self.cycles[c] for c in ids]))
-            for ids in ids_of_length.values()
-        )
-        return _read_only(self.cycle_index), by_length
-
-    def cycle_means(self, vals: np.ndarray) -> np.ndarray:
+    def cycle_means(self, vals: np.ndarray) -> list[float]:
         """Exact long-run orbit average of vals started from each point.
 
-        A row of a C-ordered (k, L) array is reduced by the same pairwise sum
-        as a 1-d array of length L, so each mean is bit for bit np.mean of
-        its cycle's values.
+        A cycle's mean is np.add.reduce of its values over its length, the
+        sum and the division np.mean makes, so it is np.mean bit for bit.
         """
-        index, by_length = self.cycle_arrays
-        per_cycle = np.empty(len(self.cycles))
-        for ids, members in by_length:
-            per_cycle[ids] = np.add.reduce(vals[members], axis=1) / members.shape[1]
-        return per_cycle[index]
+        per_cycle = [float(np.add.reduce(vals[list(c)]) / len(c)) for c in self.cycles]
+        return [per_cycle[c] for c in self.cycle_index]
 
 
 def _cycle_points(img: tuple[int, ...]) -> tuple[set[int], int]:
@@ -245,9 +215,9 @@ def _cycle_points(img: tuple[int, ...]) -> tuple[set[int], int]:
 
 
 def orbit_decomposition(theta: FiniteMap) -> OrbitDecomposition:
-    """Cycles numbered by least member, each listed from it; the largest preperiod and the cycle of every point."""
+    """Cycles numbered by least member, each listed from it, and the cycle of every point."""
     img = theta.image
-    nodes, max_preperiod = _cycle_points(img)
+    nodes, _ = _cycle_points(img)
     cycles: list[tuple[int, ...]] = []
     cycle_id_of_node: dict[int, int] = {}
     for z in sorted(nodes):
@@ -267,7 +237,7 @@ def orbit_decomposition(theta: FiniteMap) -> OrbitDecomposition:
         while cur not in nodes:
             cur = img[cur]
         cycle_index.append(cycle_id_of_node[cur])
-    return OrbitDecomposition(max_preperiod, tuple(cycle_index), tuple(cycles))
+    return OrbitDecomposition(tuple(cycle_index), tuple(cycles))
 
 
 def _push_weights(image: tuple[int, ...], weights: tuple[float, ...] | list[float]) -> tuple[float, ...]:
@@ -455,7 +425,7 @@ def slln_audit(sys: FiniteSystem, x: Rv) -> SllnReport:
     if x.n != sys.n:
         raise InputError("payoff dimension mismatch")
     vals = x.as_array()
-    means = sys.theta.orbits.cycle_means(vals).tolist()
+    means = sys.theta.orbits.cycle_means(vals)
     pv = (sys.matrix @ vals).tolist()
     lo, hi = min(pv), max(pv)
     below, above = lo - TOL_DERIVED, hi + TOL_DERIVED
@@ -545,9 +515,13 @@ def indecomposability_audit(sys: FiniteSystem) -> IndecomposabilityReport:
         polar or co-polar, over all 2^n subsets;
     (3) for every non-polar A the complement of union over n >= 1 of
         theta^{-n} A is polar, computed by preimage fixpoint iteration;
-    (4) for every pair of non-polar sets A, B some theta^{-n} A meets B in a
-        non-polar set, searched up to max preperiod + lcm of cycle
-        lengths, beyond which theta^{-n} A is periodic in n.
+    (4) for every pair of non-polar sets A, B some theta^{-k} A, k >= 1,
+        meets B in a non-polar set.  b lies in theta^{-k} {a} iff
+        theta^k(b) = a, so theta^k(b), k >= 1, is walked until a point
+        repeats, which takes at most n steps.  The walk is periodic from
+        there on, so it has then met every point it ever reaches: the set
+        that a search up to the largest preperiod plus the lcm of the cycle
+        lengths collects.
 
     Statements (3) and (4) are monotone in the quantified sets, so they are
     evaluated on the non-polar singletons; that is an elementary reduction,
@@ -561,9 +535,6 @@ def indecomposability_audit(sys: FiniteSystem) -> IndecomposabilityReport:
         raise InputError("enumeration budget exceeded: audit requires n <= 12")
     img = sys.theta.image
     full = (1 << n) - 1
-    dec = sys.theta.orbits
-    bound = dec.max_preperiod + dec.cycle_lcm
-
     support = sys.support
 
     def non_polar(mask: int) -> bool:
@@ -589,11 +560,11 @@ def indecomposability_audit(sys: FiniteSystem) -> IndecomposabilityReport:
 
     s4 = True
     for b in points:
-        # theta^k(b) for 1 <= k <= bound
-        reached, cur = set(), b
-        for _ in range(bound):
-            cur = img[cur]
+        # theta^k(b) for k >= 1, up to the first repeat
+        reached, cur = set(), img[b]
+        while cur not in reached:
             reached.add(cur)
+            cur = img[cur]
         if not reached.issuperset(points):
             s4 = False
             break

@@ -192,6 +192,8 @@ def simulate_path(policy: VolPolicy, x0: float, horizon: float, dt: float, seed:
     if not horizon / dt <= sys.maxsize:
         raise InputError(f"horizon={horizon} takes more than {sys.maxsize} steps of dt={dt:g}")
     n_steps = int(round(horizon / dt))
+    if not math.isfinite(x0):
+        raise InputError(f"x0 must be finite; got {x0}")
     x0 = float(np.mod(x0, TWO_PI))
     if n_steps == 0:
         return PathSample(np.asarray([x0]))

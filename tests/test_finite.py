@@ -599,7 +599,7 @@ def class_constant_payoff(rng, theta):
     return Rv(tuple(labels[c] for c in class_of))
 
 
-class TestSystemCacheDifferential:
+class TestSystemReportDifferential:
     """Per-system verdicts and reports equal the ergodicity, fixed-space and strong-law oracles, under ==."""
 
     @staticmethod
@@ -666,12 +666,9 @@ class TestOrbitTableDifferential:
     def test_four_statement_audit_at_its_size_guard(self):
         # n = 9-12, up to the audit's n <= 12 guard
         rng = np.random.default_rng(20194)
-        uniform = PriorSet((ProbVector(tuple(1 / 12 for _ in range(12))),))
         systems = [random_preserving_system(int(rng.integers(9, 13)), rng) for _ in range(40)]
-        systems += [
-            FiniteSystem(12, uniform, FiniteMap(tuple((i + 1) % 12 for i in range(12)))),
-            FiniteSystem(12, uniform, FiniteMap(tuple(6 * (i // 6) + (i + 1) % 6 for i in range(12)))),
-        ]
+        # the 12-cycle, two 6-cycles, and coprime cycles whose lengths have lcm 35 and 60
+        systems += [uniform_cycles(12), uniform_cycles(6, 6), uniform_cycles(5, 7), uniform_cycles(3, 4, 5)]
         indecomposable = 0
         for sys_ in systems:
             report = indecomposability_audit(sys_)
@@ -709,17 +706,27 @@ def random_cycle_system(rng, max_cycles=6, on_cycles=None, n_max=24):
 
 def decomposition(theta: FiniteMap) -> tuple:
     dec = orbit_decomposition(theta)
-    return dec.max_preperiod, dec.cycle_index, dec.cycles
+    return dec.cycle_index, dec.cycles
 
 
 def oracle_decomposition(theta: FiniteMap) -> tuple:
-    """The oracle's largest preperiod, cycle of every point, and cycles."""
+    """The oracle's cycle of every point, and its cycles."""
     orbits = oracle_orbits(theta)
-    return max(orbits.preperiod), orbits.cycle_index, orbits.cycles
+    return orbits.cycle_index, orbits.cycles
 
 
-class TestFiniteHotPathDifferential:
-    """The orbit record and the per-length cycle means equal the orbit oracle and np.mean, byte for byte."""
+def uniform_cycles(*lengths: int) -> FiniteSystem:
+    """Consecutive cycles of the given lengths, each point mapped to the next on its cycle, under the uniform prior."""
+    image: list[int] = []
+    for length in lengths:
+        start = len(image)
+        image += [start + (i + 1) % length for i in range(length)]
+    n = len(image)
+    return FiniteSystem(n, PriorSet((ProbVector(tuple(1 / n for _ in range(n))),)), FiniteMap(tuple(image)))
+
+
+class TestOrbitRecordDifferential:
+    """The orbit record and the cycle means equal the orbit oracle and np.mean, byte for byte."""
 
     def test_orbit_decomposition_every_map_n_le_6(self):
         count = 0
@@ -736,15 +743,24 @@ class TestFiniteHotPathDifferential:
             theta = FiniteMap(tuple(rng.integers(0, n, n).tolist()))
             assert decomposition(theta) == oracle_decomposition(theta), theta
 
-    def test_per_length_cycle_means_match_np_mean(self):
+    def test_cycle_means_match_np_mean(self):
         rng = np.random.default_rng(20213)
+
+        def systems():
+            # first one cycle of each length 1..24, then random systems
+            for k in range(600):
+                if k < 24:
+                    yield random_cycle_system(rng, max_cycles=1, on_cycles=k + 1)
+                else:
+                    yield random_cycle_system(rng, max_cycles=1 + k % 6)
+            # identity maps up to n = 24, then maps of coprime cycles
+            for n in range(1, 25):
+                yield uniform_cycles(*(1,) * n)
+            yield uniform_cycles(5, 7)
+            yield uniform_cycles(3, 4, 5)
+
         lengths = set()
-        # first one cycle of each length 1..24, then random systems
-        for k in range(600):
-            if k < 24:
-                sys_ = random_cycle_system(rng, max_cycles=1, on_cycles=k + 1)
-            else:
-                sys_ = random_cycle_system(rng, max_cycles=1 + k % 6)
+        for sys_ in systems():
             lengths.update(len(c) for c in oracle_orbits(sys_.theta).cycles)
             for _ in range(3):
                 x = Rv(tuple(rng.standard_normal(sys_.n) * 10.0 ** rng.uniform(-6, 6, sys_.n)))
@@ -772,7 +788,7 @@ def hits_exact_zero(sys_: FiniteSystem, xi: Rv, k: int) -> bool:
     return False
 
 
-class TestNumpyOverheadDifferential:
+class TestPushAndWalkDifferential:
     """The tuple pushes match np.add.at byte for byte, and the per-point maximal walk equals its oracle."""
 
     def test_tuple_push_matches_add_at(self):
@@ -908,8 +924,8 @@ def envelope_payoffs(rng, n):
     ]
 
 
-class TestEventCapacityCache:
-    """The event-capacity route and the one-product envelope match the routes they replaced."""
+class TestCapacityEnvelopeDifferential:
+    """sys.upper_capacity and slln_audit's one-product envelope match the per-mask product, upper_exp and lower_exp."""
 
     def test_every_subset_matches_the_per_mask_product(self):
         kinds = {"preserving": 0, "not_preserving": 0}
@@ -1145,18 +1161,6 @@ class TestMapCaches:
         with pytest.raises(ValueError):
             matrix[0, 0] = 0.0
 
-    def test_shared_cycle_arrays_are_read_only(self):
-        theta = FiniteMap((1, 0, 2, 3, 2))
-        dec = theta.orbits
-        index, by_length = dec.cycle_arrays
-        arrays = [index, *(a for pair in by_length for a in pair)]
-        assert len(arrays) == 5  # the index, and the ids and members of the 1- and 2-cycles
-        for a in arrays:
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0] = 0
-        assert dec.cycle_arrays is theta.orbits.cycle_arrays
-
     def test_non_preserving_system_raises_after_a_preserving_one_is_cached(self):
         preserving = FiniteSystem(2, PriorSet(((0.5, 0.5),)), FiniteMap((1, 0)))
         swapped = FiniteSystem(2, PriorSet(((0.3, 0.7),)), FiniteMap((1, 0)))
@@ -1304,7 +1308,7 @@ class TestRecordsOnObjects:
             assert len(decided) == 1 and decided.pop() is sys_
         assert 0 < ergodic < 20
 
-    def test_system_matrix_is_read_only_and_shared_with_the_capacity_memo(self, monkeypatch):
+    def test_system_matrix_is_read_only_and_read_by_upper_capacity(self, monkeypatch):
         sys_ = FiniteSystem(3, UNIFORM3, CYCLE3)
         assert not sys_.matrix.flags.writeable
         with pytest.raises(ValueError):

@@ -104,6 +104,12 @@ class TestSimulatePath:
         with pytest.raises(InputError, match="must be finite"):
             simulate_path(constant_policy(PARAMS, 1.0), 0.0, horizon, dt, 1)
 
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected(self, x0):
+        for policy in default_policy_suite(PARAMS):
+            with pytest.raises(InputError, match="x0 must be finite"):
+                simulate_path(policy, x0, 1.0, 0.01, 1)
+
     @pytest.mark.parametrize("horizon, dt", [(1e300, 0.01), (1e300, 1e-300), (1.0, 1e-300)])
     def test_step_count_past_maxsize_rejected(self, horizon, dt):
         with pytest.raises(InputError, match="takes more than"):
